@@ -26,7 +26,6 @@ from .graph import (
     complete_graph,
     export_dot,
     from_edge_list_text,
-    new_graph,
     path_graph,
     to_edge_list_text,
 )
@@ -51,7 +50,6 @@ from .robustness import (
     SpectrumReport,
     SweepRow,
     algebraic_connectivity,
-    jacobi_eigenvalues,
     kirchhoff_index,
     spectrum,
     sweep,

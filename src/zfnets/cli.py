@@ -143,7 +143,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph, n=args.nodes)
-    report = rob.spectrum(g, tol=args.tol)
+    report = rob.spectrum(g)
     print(f"n: {report.n}")
     print(f"edges: {g.edge_count()}")
     print(f"lambda2: {report.lambda2:.9g}")
@@ -156,9 +156,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     families = [cons.normalize_family(f) for f in args.families.split(",") if f.strip()]
     leader_values = _parse_int_values(args.leaders)
-    rows, notes = rob.sweep(
-        args.nodes, families, leader_values, g3_d=args.g3_diameter, tol=args.tol
-    )
+    rows, notes = rob.sweep(args.nodes, families, leader_values, g3_d=args.g3_diameter)
     for note in notes:
         print(f"note: {note}")
     out = _resolve_out(args.out, f"sweep_n{args.nodes}.csv")
@@ -168,19 +166,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_grammar(args: argparse.Namespace) -> int:
     n, k = args.nodes, args.leaders
+    # The target is built first so that ConstructionSpec rejects an
+    # infeasible shape before any rules exist.
     if args.rules == "r1":
-        if args.diameter is None:
-            raise ValueError("grammar r1 needs --diameter")
-        if n != k * args.diameter:
-            raise cons.InfeasibleSpecError(
-                f"grammar r1 needs nodes = leaders * diameter "
-                f"(got {n} != {k} * {args.diameter})"
-            )
+        target = cons.build(cons.ConstructionSpec(cons.G1_BAR, n, k, args.diameter))
         rules = gram.grammar_r1(k, args.diameter)
-        target = cons.build_g1_bar(n, k, args.diameter)
     else:
-        rules = gram.grammar_r2(n, k, r6_same_index_only=args.r6_same_index)
         target = cons.build_g2_bar(n, k)
+        rules = gram.grammar_r2(n, k, r6_same_index_only=args.r6_same_index)
 
     frames_dir: Path | None = None
     if args.frames:
@@ -258,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="Laplacian spectrum and robustness metrics")
     p.add_argument("--graph", required=True, help="edge-list file")
     p.add_argument("--nodes", type=int, help="override node count")
-    p.add_argument("--tol", type=float, default=rob.DEFAULT_TOL)
     p.add_argument("--eigenvalues", action="store_true", help="print the full spectrum")
     p.set_defaults(func=cmd_spectrum)
 
@@ -268,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated families")
     p.add_argument("--leaders", default="2-10", help="leader counts, e.g. 2-10 or 2,3,5")
     p.add_argument("--g3-diameter", type=int, help="fixed g3bar diameter (default: range midpoint)")
-    p.add_argument("--tol", type=float, default=rob.DEFAULT_TOL)
     p.add_argument("--out", help="output CSV path")
     p.set_defaults(func=cmd_sweep)
 

@@ -206,6 +206,32 @@ def edge_terms_g2(n: int, n_leaders: int) -> tuple[int, int, int]:
     return (n - k) * (k - 1), n - k, k * (k - 1) // 2
 
 
+def default_g3_diameter(n: int, n_leaders: int) -> int:
+    """Midpoint of the feasible diameter range [2, n/k], rounded up."""
+    k = n_leaders
+    mid = -(-(2 * k + n) // (2 * k))  # ceil((2 + n/k) / 2) in integers
+    return min(max(mid, 2), n // k)
+
+
+def default_d(family: str, n: int, n_leaders: int) -> int | None:
+    """Diameter to request when none is given: n/k layers for g1/g1bar, 2 for
+    g2bar, the range midpoint for g3bar.
+
+    Feasibility is left to ConstructionSpec: a non-divisor leader count for
+    g1/g1bar yields a d that the spec rejects, and a leader count below 1
+    yields None.
+    """
+    family = normalize_family(family)
+    k = n_leaders
+    if k < 1:
+        return None
+    if family in (G1, G1_BAR):
+        return n // k
+    if family == G2_BAR:
+        return 2
+    return default_g3_diameter(n, k)
+
+
 def _follower_id(k: int, i: int, j: int) -> int:
     """Id of follower u_{i,j} (chain i = 1..k, layer j >= 1) in the G1 layout."""
     return k + (j - 1) * k + (i - 1)

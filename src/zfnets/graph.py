@@ -112,20 +112,34 @@ class Graph:
         return all(d is not None for d in self.distances_from(0))
 
     def diameter(self) -> int:
-        """Largest shortest-path distance; raises GraphDisconnectedError."""
+        """Largest shortest-path distance; raises GraphDisconnectedError.
+
+        All sources advance together on int bitsets: after r rounds, reach[v]
+        holds the nodes within distance r of v, and a round ORs each node's
+        neighbours' masks into its own.  The diameter is the number of rounds
+        until every mask is full; a round that changes no mask means some
+        pair is unreachable.
+        """
         if self.n == 0:
             raise GraphDisconnectedError("diameter of the empty graph is undefined")
-        best = 0
-        for s in range(self.n):
-            dist = self.distances_from(s)
-            for d in dist:
-                if d is None:
-                    raise GraphDisconnectedError(
-                        "diameter undefined: graph is disconnected"
-                    )
-                if d > best:
-                    best = d
-        return best
+        full = (1 << self.n) - 1
+        reach = [1 << v for v in range(self.n)]
+        pending = [v for v in range(self.n) if reach[v] != full]
+        rounds = 0
+        while pending:
+            grown = []
+            for v in pending:
+                mask = reach[v]
+                for u in self._adj[v]:
+                    mask |= reach[u]
+                grown.append(mask)
+            if all(mask == reach[v] for v, mask in zip(pending, grown)):
+                raise GraphDisconnectedError("diameter undefined: graph is disconnected")
+            for v, mask in zip(pending, grown):
+                reach[v] = mask
+            pending = [v for v in pending if reach[v] != full]
+            rounds += 1
+        return rounds
 
     def laplacian(self) -> np.ndarray:
         """Combinatorial Laplacian L = D - A as a dense float array."""
@@ -173,10 +187,6 @@ class LeaderSet:
 
     def __contains__(self, v: int) -> bool:
         return v in self.ids
-
-
-def new_graph(n: int, edges: Iterable[tuple[int, int]] = ()) -> Graph:
-    return Graph(n, edges)
 
 
 def path_graph(n: int) -> Graph:

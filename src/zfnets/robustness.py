@@ -1,101 +1,24 @@
 """Laplacian spectra and robustness metrics (algebraic connectivity, Kirchhoff
 index), plus the family sweep that produces the comparison tables.
 
-Eigenvalues come from an in-repo cyclic Jacobi iteration rather than a
-library eigensolver, so the headline numbers are independently checkable;
-tests cross-validate it against an inertia-bisection oracle.
+Eigenvalues come from LAPACK via numpy.linalg.eigvalsh.  The tests
+cross-check them against two independent oracles in tests/oracles.py: a
+cyclic Jacobi iteration and LDL^T inertia bisection.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from . import constructions as cons
 from .graph import Graph
 
-DEFAULT_TOL = 1e-10
-MAX_SWEEPS = 100
-
 
 class ConvergenceError(RuntimeError):
-    """Jacobi iteration failed to reach tolerance within the sweep cap."""
-
-    def __init__(self, sweeps: int, off_norm: float, target: float):
-        super().__init__(
-            f"no convergence after {sweeps} sweeps: off-diagonal norm "
-            f"{off_norm:.3e} > target {target:.3e}"
-        )
-        self.sweeps = sweeps
-        self.off_norm = off_norm
-        self.target = target
-
-
-def jacobi_eigenvalues(
-    a: np.ndarray | Sequence[Sequence[float]],
-    tol: float = DEFAULT_TOL,
-    max_sweeps: int = MAX_SWEEPS,
-) -> np.ndarray:
-    """All eigenvalues of a real symmetric matrix, ascending.
-
-    Cyclic Jacobi: sweep the upper triangle, rotating each (p, q) plane to
-    annihilate a[p, q]; stop once the off-diagonal Frobenius mass drops below
-    tol times the matrix norm.
-    """
-    a = np.array(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"need a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    if n == 0:
-        return np.zeros(0)
-    if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * (1.0 + np.max(np.abs(a)))):
-        raise ValueError("matrix is not symmetric")
-    a = (a + a.T) / 2.0
-    norm = float(np.sqrt(np.sum(a * a)))
-    if n == 1 or norm == 0.0:
-        return np.sort(np.diag(a).copy())
-    target = tol * norm
-    # Entries below this floor cannot push the off-norm above target, so
-    # rotating them away is wasted work.
-    floor = target / (n * n)
-    off = _off_norm(a)
-    sweeps = 0
-    while off > target:
-        if sweeps >= max_sweeps:
-            raise ConvergenceError(sweeps, off, target)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= floor:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if theta >= 0.0:
-                    t = 1.0 / (theta + math.sqrt(theta * theta + 1.0))
-                else:
-                    t = -1.0 / (-theta + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-        sweeps += 1
-        off = _off_norm(a)
-    return np.sort(np.diag(a).copy())
-
-
-def _off_norm(a: np.ndarray) -> float:
-    # Summing the off-diagonal squares directly avoids the catastrophic
-    # cancellation of ||A||^2 - ||diag||^2 once the off mass is tiny.
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.sqrt(np.sum(off * off)))
+    """The eigensolver failed to converge on a Laplacian."""
 
 
 @dataclass(frozen=True)
@@ -106,38 +29,40 @@ class SpectrumReport:
     lambda2: float
     kirchhoff: float
     n: int
-    tol: float
 
 
-def spectrum(g: Graph, tol: float = DEFAULT_TOL) -> SpectrumReport:
+def spectrum(g: Graph) -> SpectrumReport:
     """Full Laplacian spectrum plus algebraic connectivity and Kirchhoff index.
 
     kirchhoff is n times the sum of reciprocal nonzero-index eigenvalues for
     connected graphs and +inf otherwise.  The one-node graph is trivially
-    connected; its lambda2 is reported as +inf so that "lambda2 > tol iff
-    connected" holds uniformly.
+    connected; its lambda2 is reported as +inf so that "lambda2 > 0 iff
+    connected" holds uniformly.  Raises ConvergenceError if LAPACK does not
+    converge.
     """
     if g.n < 1:
         raise ValueError("need at least one node")
-    ev = jacobi_eigenvalues(g.laplacian(), tol=tol)
-    connected = g.is_connected()
+    try:
+        ev = np.linalg.eigvalsh(g.laplacian())
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"Laplacian eigensolver failed: {exc}") from exc
     if g.n == 1:
-        return SpectrumReport((float(ev[0]),), math.inf, 0.0, 1, tol)
+        return SpectrumReport((float(ev[0]),), math.inf, 0.0, 1)
     lambda2 = float(ev[1])
-    if connected:
+    if g.is_connected():
         kirchhoff = float(g.n * np.sum(1.0 / ev[1:]))
     else:
         kirchhoff = math.inf
-    return SpectrumReport(tuple(float(x) for x in ev), lambda2, kirchhoff, g.n, tol)
+    return SpectrumReport(tuple(float(x) for x in ev), lambda2, kirchhoff, g.n)
 
 
-def algebraic_connectivity(g: Graph, tol: float = DEFAULT_TOL) -> float:
-    return spectrum(g, tol).lambda2
+def algebraic_connectivity(g: Graph) -> float:
+    return spectrum(g).lambda2
 
 
-def kirchhoff_index(g: Graph, tol: float = DEFAULT_TOL) -> float:
+def kirchhoff_index(g: Graph) -> float:
     """Kirchhoff index; +inf for disconnected graphs."""
-    return spectrum(g, tol).kirchhoff
+    return spectrum(g).kirchhoff
 
 
 @dataclass(frozen=True)
@@ -154,46 +79,33 @@ class SweepRow:
 CSV_HEADER = "family,N,NL,D,edges,lambda2,kirchhoff"
 
 
-def default_g3_diameter(n: int, n_leaders: int) -> int:
-    """Midpoint of the feasible diameter range [2, n/k], rounded up."""
-    k = n_leaders
-    mid = -(-(2 * k + n) // (2 * k))  # ceil((2 + n/k) / 2) in integers
-    return min(max(mid, 2), n // k)
-
-
 def sweep(
     n: int,
     families: Iterable[str] = (cons.G1_BAR, cons.G2_BAR, cons.G3_BAR),
     leader_values: Iterable[int] = range(2, 11),
     g3_d: int | None = None,
-    tol: float = DEFAULT_TOL,
 ) -> tuple[list[SweepRow], list[str]]:
     """Metrics for every feasible (family, n_leaders) point at fixed n.
 
-    Infeasible points (e.g. non-divisor leader counts for the layered family)
-    are skipped and described in the returned notes list.
+    Each point is built at cons.default_d unless g3_d fixes the g3bar
+    diameter.  Points ConstructionSpec rejects (e.g. non-divisor leader
+    counts for the layered family) are skipped and described in the
+    returned notes list.
     """
     rows: list[SweepRow] = []
     notes: list[str] = []
     for k in leader_values:
         for family in families:
             family = cons.normalize_family(family)
+            d = cons.default_d(family, n, k)
+            if family == cons.G3_BAR and g3_d is not None:
+                d = g3_d
             try:
-                if family in (cons.G1, cons.G1_BAR):
-                    if n % k != 0:
-                        raise cons.InfeasibleSpecError(
-                            f"{k} does not divide {n} (family {family} needs n = n_leaders * d)"
-                        )
-                    d = n // k
-                elif family == cons.G2_BAR:
-                    d = None
-                else:
-                    d = g3_d if g3_d is not None else default_g3_diameter(n, k)
                 net = cons.build(cons.ConstructionSpec(family, n, k, d))
             except cons.InfeasibleSpecError as exc:
                 notes.append(f"skip family={family} n={n} nl={k}: {exc}")
                 continue
-            rep = spectrum(net.graph, tol=tol)
+            rep = spectrum(net.graph)
             rows.append(
                 SweepRow(
                     family=family,

@@ -1,6 +1,7 @@
 """Command-line interface: files written, stdout contracts, exit codes."""
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from zfnets.cli import main
@@ -116,6 +117,16 @@ def test_spectrum_matches_library(tmp_path, capsys):
     assert f"lambda2: {rep.lambda2:.9g}" in text
     assert f"kirchhoff: {rep.kirchhoff:.9g}" in text
     assert "eigenvalues:" in text and "n: 12" in text and "edges: 30" in text
+
+
+def test_spectrum_solver_failure_exits_4(tmp_path, capsys, monkeypatch):
+    def fail(_a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    path = write_graph(tmp_path, build_g2_bar(12, 3).graph)
+    code, text = run(capsys, "spectrum", "--graph", str(path))
+    assert code == 4 and "lambda2" not in text
 
 
 def test_sweep_writes_csv(tmp_path, capsys):

@@ -15,6 +15,7 @@ from zfnets.constructions import (
     build_g1_bar,
     build_g2_bar,
     build_g3_bar,
+    default_d,
     edge_terms_g1,
     edge_terms_g2,
     expected_edges,
@@ -189,6 +190,18 @@ def test_spec_validation_and_dispatch():
         build(ConstructionSpec("g2bar", 12, 3, 5))
     # g2bar accepts d omitted or d == 2
     assert build(ConstructionSpec("g2bar", 12, 3, None)).graph.diameter() == 2
+
+
+def test_default_d_per_family():
+    assert default_d("g1bar", 12, 3) == 4 and default_d("g1", 12, 3) == 4
+    assert default_d("g2bar", 12, 3) == 2
+    assert default_d("g3bar", 60, 4) == 9
+    assert default_d("g1bar", 12, 0) is None
+    # a non-divisor leader count is left for ConstructionSpec to reject
+    with pytest.raises(InfeasibleSpecError, match="n_leaders \\* d"):
+        ConstructionSpec("g1bar", 12, 5, default_d("g1bar", 12, 5))
+    with pytest.raises(InfeasibleSpecError, match="at least one leader"):
+        ConstructionSpec("g3bar", 12, 0, default_d("g3bar", 12, 0))
 
 
 def test_config_parsing():

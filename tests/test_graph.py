@@ -82,6 +82,8 @@ def test_distance_and_diameter_on_known_graphs():
     assert not two.is_connected()
     with pytest.raises(GraphDisconnectedError):
         two.diameter()
+    with pytest.raises(GraphDisconnectedError):
+        Graph(0).diameter()
 
 
 def test_single_node_graph():
@@ -109,6 +111,17 @@ def test_laplacian_positive_semidefinite_quadratic_form(g, seed):
     for _ in range(5):
         x = rng.normal(size=g.n)
         assert x @ lap @ x >= -1e-9
+
+
+@given(st.one_of(graphs(max_n=14), graphs(max_n=14, connected=True)))
+@settings(max_examples=80)
+def test_diameter_matches_per_source_bfs(g):
+    dists = [d for s in range(g.n) for d in g.distances_from(s)]
+    if None in dists:
+        with pytest.raises(GraphDisconnectedError):
+            g.diameter()
+    else:
+        assert g.diameter() == max(dists)
 
 
 @given(graphs(connected=True))

@@ -1,4 +1,4 @@
-"""Laplacian spectra: Jacobi solver vs bisection oracle, reports, sweeps."""
+"""Laplacian spectra: LAPACK vs the Jacobi and bisection oracles, reports, sweeps."""
 from __future__ import annotations
 
 import math
@@ -9,16 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_connected_graph, random_graph
-from oracles import bisection_eigenvalues
-from zfnets.constructions import build_g1_bar, build_g2_bar
+from oracles import JacobiNonConvergence, bisection_eigenvalues, jacobi_eigenvalues
+from zfnets.constructions import build_g1_bar, build_g2_bar, default_g3_diameter
 from zfnets.graph import Graph, complete_graph, path_graph
 from zfnets.robustness import (
     CSV_HEADER,
-    ConvergenceError,
     SweepRow,
     algebraic_connectivity,
-    default_g3_diameter,
-    jacobi_eigenvalues,
     kirchhoff_index,
     spectrum,
     sweep,
@@ -66,7 +63,7 @@ def test_jacobi_input_validation():
 
 def test_jacobi_reports_nonconvergence():
     a = path_graph(5).laplacian()
-    with pytest.raises(ConvergenceError) as exc:
+    with pytest.raises(JacobiNonConvergence) as exc:
         jacobi_eigenvalues(a, max_sweeps=0)
     err = exc.value
     assert err.sweeps == 0 and err.off_norm > err.target > 0
@@ -81,6 +78,18 @@ def test_jacobi_preserves_trace_on_laplacians(seed, n):
     assert sum(ev) == pytest.approx(2.0 * g.edge_count(), abs=1e-8)
     assert ev[0] == pytest.approx(0.0, abs=1e-8)
     assert all(ev[i] <= ev[i + 1] + 1e-12 for i in range(n - 1))
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(1, 14), st.sampled_from([0.0, 0.15, 0.4, 0.8]))
+@settings(max_examples=60, deadline=None)
+def test_spectrum_matches_both_oracles(seed, n, p):
+    # Low edge probabilities make most of these graphs disconnected.
+    g = random_graph(np.random.default_rng(seed), n, p)
+    lap = g.laplacian()
+    ours = np.array(spectrum(g).eigenvalues)
+    scale = max(1.0, float(np.abs(lap).max()))
+    assert np.allclose(ours, jacobi_eigenvalues(lap), atol=1e-8 * scale)
+    assert np.allclose(ours, bisection_eigenvalues(lap, tol=1e-10), atol=1e-8 * scale)
 
 
 def test_spectrum_on_known_graphs():
@@ -153,6 +162,9 @@ def test_sweep_rows_and_notes():
     assert ("g1bar", 5) not in families
     assert ("g2bar", 5) in families and ("g3bar", 5) in families
     assert any("g1bar" in note and "5" in note for note in notes)
+    # no leaders: every family is skipped with a note instead of crashing
+    rows0, notes0 = sweep(12, leader_values=[0])
+    assert rows0 == [] and len(notes0) == 3
     for row in rows:
         assert row.n == 12
         assert row.lambda2 > 0
@@ -192,3 +204,19 @@ def test_sweep_csv_round_trip():
 def test_sweep_row_is_plain_data():
     row = SweepRow("g2bar", 12, 3, 2, 30, 1.5, 40.0)
     assert row.family == "g2bar" and row.edges == 30
+
+
+@pytest.mark.parametrize("n", [120, 240])
+def test_robustness_orderings_at_larger_n(n):
+    rows, _ = sweep(n)  # leaders 2-10 at the default diameters
+    lam = {(r.family, r.n_leaders): r.lambda2 for r in rows}
+    kf = {(r.family, r.n_leaders): r.kirchhoff for r in rows}
+    assert {k for f, k in lam if f == "g1bar"} == {k for k in range(2, 11) if n % k == 0}
+    margin = 1e-8
+    for k in range(2, 11):
+        assert lam["g3bar", k] <= lam["g2bar", k] + margin, k
+        if ("g1bar", k) in lam:
+            assert lam["g1bar", k] <= lam["g3bar", k] + margin, k
+            assert lam["g2bar", k] - lam["g1bar", k] > margin, k
+    for k in (2, 3):
+        assert kf["g2bar", k] < kf["g1bar", k], k
