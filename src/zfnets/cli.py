@@ -166,14 +166,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_grammar(args: argparse.Namespace) -> int:
     n, k = args.nodes, args.leaders
-    # The target is built first so that ConstructionSpec rejects an
-    # infeasible shape before any rules exist.
-    if args.rules == "r1":
-        target = cons.build(cons.ConstructionSpec(cons.G1_BAR, n, k, args.diameter))
-        rules = gram.grammar_r1(k, args.diameter)
-    else:
-        target = cons.build_g2_bar(n, k)
-        rules = gram.grammar_r2(n, k, r6_same_index_only=args.r6_same_index)
+    # Built first: ConstructionSpec rejects any infeasible shape (also d != 2 for r2).
+    family = cons.G1_BAR if args.rules == "r1" else cons.G2_BAR
+    target = cons.build(cons.ConstructionSpec(family, n, k, args.diameter))
+    rules = (gram.grammar_r1(k, args.diameter) if args.rules == "r1"
+             else gram.grammar_r2(n, k, r6_same_index_only=args.r6_same_index))
 
     frames_dir: Path | None = None
     if args.frames:
@@ -267,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rules", choices=("r1", "r2"), required=True)
     p.add_argument("--nodes", type=int, required=True)
     p.add_argument("--leaders", type=int, required=True)
-    p.add_argument("--diameter", type=int, help="target diameter (r1 only)")
+    p.add_argument("--diameter", type=int, help="target diameter (r1; r2 accepts only 2)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--prefer-pi2", action="store_true",
                    help="always take an edge-maximizing match when one exists")
@@ -283,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, help="override node count")
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=ssc.DEFAULT_TOL)
+    p.add_argument("--tol", type=float, default=ssc.DEFAULT_TOL,
+                   help=f"relative rank threshold, 0 < tol < {1 / ssc.BAND:g}")
     p.add_argument("--out", help="per-trial CSV output path")
     p.set_defaults(func=cmd_oracle)
 

@@ -144,10 +144,13 @@ def randomized_ssc_check(
     Indeterminate verdicts are resampled up to max_resamples times before
     being recorded as indeterminate.  Identical seeds give identical reports;
     each record stores the realization seed actually used, so any trial can
-    be replayed with sample_realization.
+    be replayed with sample_realization.  tol must lie in (0, 1/BAND): from
+    1/BAND up no trial can be controllable, as QR pivots never increase.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if not 0.0 < tol < 1.0 / BAND:
+        raise ValueError(f"tol must lie in (0, {1.0 / BAND:g}), got {tol}")
     leaders.validate_for(g)
     master = np.random.default_rng(seed)
     per_trial = max_resamples + 1

@@ -1,14 +1,15 @@
-"""Zero forcing: color-change closure, forcing traces, and maximality checks.
+"""Zero forcing: one engine for closure, traces and uniqueness; maximality.
 
 A black node with exactly one white neighbor forces that neighbor black.
 A set whose closure is the whole vertex set is a zero forcing set (ZFS);
 for leader-follower consensus dynamics this is exactly strong structural
-controllability of the pair (graph, leaders).
+controllability of the pair (graph, leaders).  Only _run applies forces;
+derived_set, closure and is_unique_process each read one run of it.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Iterable
 
 from .graph import Graph, LeaderSet
@@ -58,45 +59,53 @@ def forcing_candidates(g: Graph, black: Iterable[int]) -> list[tuple[int, int]]:
     return out
 
 
+def _run(g: Graph, black: Iterable[int]) -> tuple[ForcingTrace, bool]:
+    """Force to exhaustion, smallest forcer id first; return (trace, unique).
+
+    white[v] counts v's white neighbors.  A black node turns forcer once, when
+    white[v] reaches 1, and enters the heap with its one white neighbor; the
+    entry goes stale when that neighbor turns black.  pending holds the nodes
+    some forcer can force: the process is unique iff it never holds two.
+    """
+    black_set = _as_black_set(g, black)
+    initial = frozenset(black_set)
+    nbrs = [g.neighbors(v) for v in range(g.n)]
+    white = [len(a) - len(a & black_set) for a in nbrs]
+    heap = [(v, min(nbrs[v] - black_set)) for v in sorted(black_set) if white[v] == 1]
+    pending = {u for _, u in heap}
+    steps: list[tuple[int, int]] = []
+    unique = True
+    while heap:
+        v, u = heappop(heap)
+        if u in black_set:
+            continue
+        if len(pending) > 1:
+            unique = False
+        steps.append((v, u))
+        black_set.add(u)
+        pending.discard(u)
+        for w in nbrs[u]:
+            white[w] -= 1
+        for w in (u, *nbrs[u]):
+            if white[w] == 1 and w in black_set:
+                x = min(nbrs[w] - black_set)
+                heappush(heap, (w, x))
+                pending.add(x)
+    return ForcingTrace(initial, tuple(steps), frozenset(black_set)), unique
+
+
 def derived_set(g: Graph, black: Iterable[int]) -> ForcingTrace:
     """Run the forcing process to exhaustion and record a trace.
 
     At each step the candidate with the smallest forcer id is applied, which
     makes the trace deterministic.  The closure itself is order-independent.
     """
-    black_set = _as_black_set(g, black)
-    initial = frozenset(black_set)
-    steps: list[tuple[int, int]] = []
-    while True:
-        cands = forcing_candidates(g, black_set)
-        if not cands:
-            break
-        v, u = cands[0]
-        steps.append((v, u))
-        black_set.add(u)
-    return ForcingTrace(initial, tuple(steps), frozenset(black_set))
+    return _run(g, black)[0]
 
 
 def closure(g: Graph, black: Iterable[int]) -> frozenset[int]:
-    """The derived set alone, via a linear-time white-neighbor-count worklist."""
-    black_set = _as_black_set(g, black)
-    white_count = [0] * g.n
-    for v in range(g.n):
-        white_count[v] = sum(1 for u in g.neighbors(v) if u not in black_set)
-    queue = deque(v for v in black_set if white_count[v] == 1)
-    while queue:
-        v = queue.popleft()
-        if v not in black_set or white_count[v] != 1:
-            continue
-        u = next(w for w in g.neighbors(v) if w not in black_set)
-        black_set.add(u)
-        for w in g.neighbors(u):
-            white_count[w] -= 1
-            if w in black_set and white_count[w] == 1:
-                queue.append(w)
-        if white_count[u] == 1:
-            queue.append(u)
-    return frozenset(black_set)
+    """The derived set alone."""
+    return _run(g, black)[0].derived
 
 
 def is_zfs(g: Graph, leaders: LeaderSet) -> bool:
@@ -112,15 +121,7 @@ def is_unique_process(g: Graph, black: Iterable[int]) -> bool:
     counts as a single available move.  Returns True vacuously once no move
     is available, so the result is meaningful mainly for forcing sets.
     """
-    black_set = _as_black_set(g, black)
-    while True:
-        cands = forcing_candidates(g, black_set)
-        if not cands:
-            return True
-        forced = {u for _, u in cands}
-        if len(forced) > 1:
-            return False
-        black_set.add(next(iter(forced)))
+    return _run(g, black)[1]
 
 
 def validate_trace(g: Graph, trace: ForcingTrace) -> None:

@@ -2,9 +2,10 @@
 
 Each oracle takes a deliberately different route from the code under test:
 eigenvalues via a cyclic Jacobi iteration and via LDL^T inertia counts +
-bisection (vs. LAPACK's eigvalsh in the package), zero-forcing closure via
-naive rescanning (vs. the worklist), and Kalman rank via SVD on the raw,
-unnormalized matrix (vs. pivoted QR on block-normalized powers).
+bisection (vs. LAPACK's eigvalsh in the package), zero-forcing closure,
+traces and uniqueness via naive rescanning (vs. the heap-ordered worklist),
+and Kalman rank via SVD on the raw, unnormalized matrix (vs. pivoted QR on
+block-normalized powers).
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from zfnets.graph import Graph
+from zfnets.zero_forcing import ForcingTrace, forcing_candidates
 
 
 class JacobiNonConvergence(RuntimeError):
@@ -167,6 +169,38 @@ def closure_bruteforce(g: Graph, black: set[int]) -> frozenset[int]:
                 black.add(white[0])
                 changed = True
     return frozenset(black)
+
+
+def derived_set_rescan(g: Graph, black: set[int]) -> ForcingTrace:
+    """Forcing trace that rescans every black node before each step.
+
+    Applies the candidate with the smallest forcer id, the documented order
+    of zfnets.zero_forcing.derived_set.
+    """
+    black_set = set(black)
+    initial = frozenset(black_set)
+    steps: list[tuple[int, int]] = []
+    while True:
+        cands = forcing_candidates(g, black_set)
+        if not cands:
+            break
+        v, u = cands[0]
+        steps.append((v, u))
+        black_set.add(u)
+    return ForcingTrace(initial, tuple(steps), frozenset(black_set))
+
+
+def is_unique_rescan(g: Graph, black: set[int]) -> bool:
+    """True iff every rescan finds exactly one distinct node to force."""
+    black_set = set(black)
+    while True:
+        cands = forcing_candidates(g, black_set)
+        if not cands:
+            return True
+        forced = {u for _, u in cands}
+        if len(forced) > 1:
+            return False
+        black_set.add(next(iter(forced)))
 
 
 def kalman_rank_svd(m: np.ndarray, b: np.ndarray) -> int:

@@ -221,3 +221,25 @@ def test_leader_list_parsing_errors(tmp_path, capsys):
     path = write_graph(tmp_path, build_g2_bar(8, 2).graph)
     code, _ = run(capsys, "verify", "--graph", str(path), "--leaders", "0,notanid")
     assert code == 2
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "0.1", "100"])
+def test_oracle_rejects_tol_outside_the_band(tmp_path, capsys, tol):
+    # with tol <= 0 every pivot passes, so an isolated follower looks
+    # controllable; from tol = 1/BAND up a zero forcing path never can
+    for text, leaders in (("# n=3\n0 1\n", "0"), ("0 1\n1 2\n", "0")):
+        path = tmp_path / "g.edges"
+        path.write_text(text)
+        code, out = run(capsys, "oracle", "--graph", str(path), "--leaders", leaders,
+                        "--trials", "5", "--tol", tol)
+        assert code == 2 and out == ""
+
+
+def test_grammar_r2_checks_the_diameter(tmp_path, capsys):
+    code, _ = run(capsys, "grammar", "--rules", "r2", "--nodes", "12",
+                  "--leaders", "3", "--diameter", "5", "--out", str(tmp_path / "x"))
+    assert code == 2
+    assert not (tmp_path / "x.trace").exists()
+    code, text = run(capsys, "grammar", "--rules", "r2", "--nodes", "12",
+                     "--leaders", "3", "--diameter", "2", "--out", str(tmp_path / "y"))
+    assert code == 0 and "matches construction: yes" in text
