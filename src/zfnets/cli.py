@@ -211,9 +211,7 @@ def cmd_grammar(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph, n=args.nodes)
     leaders = LeaderSet(_parse_id_list(args.leaders))
-    report = ssc.randomized_ssc_check(
-        g, leaders, trials=args.trials, seed=args.seed, tol=args.tol
-    )
+    report = ssc.randomized_ssc_check(g, leaders, trials=args.trials, seed=args.seed)
     print(report.summary())
     if args.out:
         _write(Path(args.out), report.to_csv())
@@ -280,8 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, help="override node count")
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=ssc.DEFAULT_TOL,
-                   help=f"relative rank threshold, 0 < tol < {1 / ssc.BAND:g}")
     p.add_argument("--out", help="per-trial CSV output path")
     p.set_defaults(func=cmd_oracle)
 

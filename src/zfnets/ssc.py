@@ -1,33 +1,47 @@
-"""Randomized strong-structural-controllability oracle.
+"""Randomized strong-structural-controllability oracle, exact over GF(PRIME).
 
-Independent cross-check for the zero-forcing certificates: sample weighted
-system matrices compatible with the graph structure (off-diagonal entry
-nonzero exactly on edges, free diagonal), build the Kalman controllability
-matrix for the leader-input pattern, and test its rank.  A leader set that
-is a zero forcing set must pass every sampled realization.
+Cross-check for the zero-forcing certificates: sample integer matrices M
+with the graph's pattern (nonzero exactly on edges, free diagonal), put one
+input column on each leader, and compute the rank of the Kalman matrix
+[B, MB, ..., M^(n-1)B] exactly mod PRIME.  No tolerance is involved.
+
+"controllable" certifies the integer realization over Q, since a Kalman
+minor that is nonzero mod PRIME is nonzero.  A zero forcing set (ZFS) of
+leaders is never "uncontrollable": the zero-forcing/PBH argument works over
+any field.  A rank deficit gives an eigenvector x of M^T (over the algebraic
+closure) orthogonal to the M-invariant Krylov space, so x is zero on the
+leaders.  If x is zero on v and on every neighbour of v but u, entry v of
+x^T (M - lambda I) = 0 reads x_u M[u, v] = 0, so x_u = 0: a force.  Forcing
+from a ZFS zeroes all of x, a contradiction.  This needs only M[u, v] != 0
+mod PRIME on edges, which holds for weights in +/-[1, MAX_WEIGHT].  On other
+leaders "uncontrollable" is exact over GF(PRIME).  The weights are uniform
+there, so if some realization of the pattern is controllable over GF(PRIME),
+a trial is falsely uncontrollable over Q with probability at most
+n(n-1)/(PRIME-1), the degree bound of a Kalman minor (Schwartz, J. ACM 1980).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .graph import Graph, LeaderSet
 
-DEFAULT_TOL = 1e-7
-# Verdict band: smallest pivot >= 10x the rank threshold is a firm full-rank,
-# <= 0.1x is a firm deficiency, anything between is indeterminate noise.
-BAND = 10.0
+PRIME = 33_554_393  # largest prime below 2**25
+# [-MAX_WEIGHT, MAX_WEIGHT] holds every residue mod PRIME exactly once.
+MAX_WEIGHT = (PRIME - 1) // 2
+# Largest n with n * PRIME**2 < 2**63: a dot product of n residues fits int64.
+MAX_N = (2**63 - 1) // PRIME**2
 
 
-class IndeterminateVerdict(RuntimeError):
-    """Rank decision fell inside the numerical tolerance band."""
+def _check_size(n: int) -> None:
+    if n > MAX_N:
+        raise ValueError(f"the exact oracle handles at most {MAX_N} nodes, got {n}")
 
 
 @dataclass(frozen=True)
 class SystemRealization:
-    """One sampled (M, B) pair plus the seed that generated it."""
+    """One sampled integer (M, B) pair plus the seed that generated it."""
 
     m_matrix: np.ndarray
     b_matrix: np.ndarray
@@ -35,67 +49,69 @@ class SystemRealization:
 
 
 def sample_realization(g: Graph, leaders: LeaderSet, seed: int) -> SystemRealization:
-    """Sample M with edge weights in +/-[0.5, 2.0] and diagonal in [-1, 1].
-
-    Magnitudes are bounded away from zero so the sample certifiably has the
-    graph's exact sparsity pattern.  B has one column per leader with a
-    single 1 in that leader's row.
-    """
+    """Sample int64 M with edge weights in +/-[1, MAX_WEIGHT], diagonal in
+    [-MAX_WEIGHT, MAX_WEIGHT], and B with a single 1 per leader column."""
     leaders.validate_for(g)
-    rng = np.random.default_rng(seed)
     n = g.n
-    m = np.zeros((n, n))
-    for u, v in g.edges():
-        w = rng.uniform(0.5, 2.0) * (1.0 if rng.uniform() < 0.5 else -1.0)
-        m[u, v] = w
-        m[v, u] = w
-    diag = rng.uniform(-1.0, 1.0, size=n)
-    m[np.arange(n), np.arange(n)] = diag
-    b = np.zeros((n, len(leaders)))
-    for col, leader in enumerate(leaders):
-        b[leader, col] = 1.0
+    _check_size(n)
+    rng = np.random.default_rng(seed)
+    u, v = np.array(g.edges(), dtype=np.int64).reshape(-1, 2).T
+    w = rng.integers(-MAX_WEIGHT, MAX_WEIGHT, size=u.size)
+    w[w >= 0] += 1  # [-W, W) -> +/-[1, W]
+    m = np.zeros((n, n), dtype=np.int64)
+    m[u, v] = w
+    m[v, u] = w
+    np.fill_diagonal(m, rng.integers(-MAX_WEIGHT, MAX_WEIGHT + 1, size=n))
+    b = np.zeros((n, len(leaders)), dtype=np.int64)
+    b[list(leaders), np.arange(len(leaders))] = 1
     return SystemRealization(m, b, seed)
 
 
-def controllability_report(r: SystemRealization, tol: float = DEFAULT_TOL) -> tuple[int, str]:
-    """(numerical rank, verdict) for the Kalman matrix [B, MB, ..., M^(n-1)B].
+def controllability_report(r: SystemRealization) -> tuple[int, str]:
+    """(rank mod PRIME, "controllable" iff rank == n else "uncontrollable").
 
-    Rank comes from the pivot magnitudes of a column-pivoted QR; each power
-    block is max-normalized before stacking to keep the matrix conditioned.
-    Verdict is one of "controllable", "uncontrollable", "indeterminate".
+    Block Krylov elimination on row vectors: basis rows stay fully reduced
+    (1 at their pivot, 0 at every other pivot), so one int64 matmul reduces a
+    new block against all of them.  Only the vectors the last block added are
+    multiplied by M; it stops at rank n or when a block adds nothing.
     """
-    n = r.m_matrix.shape[0]
-    blocks = []
-    block = np.array(r.b_matrix, dtype=float)
-    for _ in range(n):
-        blocks.append(block)
-        block = r.m_matrix @ block
-        peak = np.max(np.abs(block))
-        if peak > 0.0:
-            block = block / peak
-    kalman = np.hstack(blocks)
-    r_factor = scipy.linalg.qr(kalman, mode="r", pivoting=True)[0]
-    pivots = np.abs(np.diag(r_factor))[:n]
-    if pivots.size == 0 or pivots[0] == 0.0:
-        return 0, "uncontrollable"
-    thresh = tol * pivots[0]
-    rank = int(np.sum(pivots > thresh))
-    smallest = float(np.min(pivots))
-    if smallest >= BAND * thresh:
-        return rank, "controllable"
-    if smallest <= thresh / BAND:
-        return rank, "uncontrollable"
-    return rank, "indeterminate"
+    m, b = r.m_matrix, r.b_matrix
+    n = m.shape[0]
+    _check_size(n)
+    if m.dtype.kind not in "iu" or b.dtype.kind not in "iu":
+        raise ValueError("a realization must hold integer matrices")
+    m_t = m.T.astype(np.int64) % PRIME
+    basis = np.zeros((0, n), dtype=np.int64)
+    pivots: list[int] = []
+    block = b.T.astype(np.int64) % PRIME
+    while len(block) and len(pivots) < n:
+        if pivots:
+            block = (block - block[:, pivots] @ basis) % PRIME
+        added, new_pivots = [], []
+        for i in range(len(block)):  # Gauss-Jordan on what the basis missed
+            nonzero = np.flatnonzero(block[i])
+            if not nonzero.size:
+                continue
+            p = int(nonzero[0])
+            block[i] = block[i] * pow(int(block[i, p]), -1, PRIME) % PRIME
+            col = block[:, p].copy()
+            col[i] = 0
+            block = (block - np.outer(col, block[i])) % PRIME
+            added.append(i)
+            new_pivots.append(p)
+        if not added:
+            break
+        block = block[added]
+        basis = np.vstack([(basis - basis[:, new_pivots] @ block) % PRIME, block])
+        pivots += new_pivots
+        block = block @ m_t % PRIME
+    rank = len(pivots)
+    return rank, "controllable" if rank == n else "uncontrollable"
 
 
-def is_controllable_pair(r: SystemRealization, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the Kalman matrix has full rank n; borderline cases raise."""
-    rank, verdict = controllability_report(r, tol)
-    if verdict == "indeterminate":
-        raise IndeterminateVerdict(
-            f"rank {rank} of {r.m_matrix.shape[0]} is within the tolerance band; resample"
-        )
-    return verdict == "controllable"
+def is_controllable_pair(r: SystemRealization) -> bool:
+    """True iff the Kalman matrix has rank n mod PRIME."""
+    return controllability_report(r)[0] == r.m_matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -113,7 +129,7 @@ class SSCReport:
     trials: int
     pass_count: int
     fail_count: int
-    indeterminate_count: int
+    indeterminate_count: int  # always 0: the rank is exact
     records: tuple[TrialRecord, ...]
 
     def summary(self) -> str:
@@ -136,43 +152,27 @@ def randomized_ssc_check(
     leaders: LeaderSet,
     trials: int = 50,
     seed: int = 0,
-    tol: float = DEFAULT_TOL,
-    max_resamples: int = 3,
 ) -> SSCReport:
     """Run `trials` independent realizations and tally the verdicts.
 
-    Indeterminate verdicts are resampled up to max_resamples times before
-    being recorded as indeterminate.  Identical seeds give identical reports;
-    each record stores the realization seed actually used, so any trial can
-    be replayed with sample_realization.  tol must lie in (0, 1/BAND): from
-    1/BAND up no trial can be controllable, as QR pivots never increase.
+    Identical seeds give identical reports; each record stores its
+    realization seed, so any trial can be replayed with sample_realization.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if not 0.0 < tol < 1.0 / BAND:
-        raise ValueError(f"tol must lie in (0, {1.0 / BAND:g}), got {tol}")
     leaders.validate_for(g)
-    master = np.random.default_rng(seed)
-    per_trial = max_resamples + 1
-    all_seeds = master.integers(0, 2**63 - 1, size=trials * per_trial)
-    records: list[TrialRecord] = []
-    counts = {"controllable": 0, "uncontrollable": 0, "indeterminate": 0}
-    for t in range(trials):
-        rank, verdict, used = 0, "indeterminate", 0
-        for attempt in range(per_trial):
-            used = int(all_seeds[t * per_trial + attempt])
-            realization = sample_realization(g, leaders, used)
-            rank, verdict = controllability_report(realization, tol)
-            if verdict != "indeterminate":
-                break
-        counts[verdict] += 1
-        records.append(TrialRecord(t, used, rank, verdict))
+    seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=trials)
+    records = []
+    for t, trial_seed in enumerate(seeds.tolist()):
+        rank, verdict = controllability_report(sample_realization(g, leaders, trial_seed))
+        records.append(TrialRecord(t, trial_seed, rank, verdict))
+    passed = sum(rec.verdict == "controllable" for rec in records)
     return SSCReport(
         n=g.n,
         n_leaders=len(leaders),
         trials=trials,
-        pass_count=counts["controllable"],
-        fail_count=counts["uncontrollable"],
-        indeterminate_count=counts["indeterminate"],
+        pass_count=passed,
+        fail_count=trials - passed,
+        indeterminate_count=0,
         records=tuple(records),
     )

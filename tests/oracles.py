@@ -4,12 +4,13 @@ Each oracle takes a deliberately different route from the code under test:
 eigenvalues via a cyclic Jacobi iteration and via LDL^T inertia counts +
 bisection (vs. LAPACK's eigvalsh in the package), zero-forcing closure,
 traces and uniqueness via naive rescanning (vs. the heap-ordered worklist),
-and Kalman rank via SVD on the raw, unnormalized matrix (vs. pivoted QR on
-block-normalized powers).
+and Kalman rank over Q via Fraction elimination on the exact integer powers
+(vs. block Krylov elimination mod a prime).
 """
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
@@ -203,10 +204,28 @@ def is_unique_rescan(g: Graph, black: set[int]) -> bool:
         black_set.add(next(iter(forced)))
 
 
-def kalman_rank_svd(m: np.ndarray, b: np.ndarray) -> int:
-    """Rank of [B, MB, ..., M^(n-1)B] straight from numpy's SVD-based rank."""
-    n = m.shape[0]
-    blocks = [b]
-    for _ in range(n - 1):
-        blocks.append(m @ blocks[-1])
-    return int(np.linalg.matrix_rank(np.hstack(blocks)))
+def kalman_rank_exact(m, b) -> int:
+    """Rank over Q of [B, MB, ..., M^(n-1)B] for integer M and B.
+
+    Builds every power with Python integers, then runs Gaussian elimination
+    on Fractions, so nothing is rounded or reduced mod a prime.
+    """
+    n = len(m)
+    m = [[int(x) for x in row] for row in m]
+    block = [[int(x) for x in col] for col in np.asarray(b).T]
+    columns = []
+    for _ in range(n):
+        columns.extend(block)
+        block = [[sum(m[i][j] * c[j] for j in range(n)) for i in range(n)] for c in block]
+    rows = [[Fraction(c[i]) for c in columns] for i in range(n)]
+    rank = 0
+    for col in range(len(columns)):
+        pivot = next((r for r in range(rank, n) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, n):
+            factor = rows[r][col] / rows[rank][col]
+            rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank

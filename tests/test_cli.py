@@ -1,6 +1,11 @@
 """Command-line interface: files written, stdout contracts, exit codes."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +13,8 @@ from zfnets.cli import main
 from zfnets.constructions import build_g1, build_g1_bar, build_g2_bar
 from zfnets.graph import from_edge_list_text, to_edge_list_text
 from zfnets.robustness import spectrum
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, *argv: str) -> tuple[int, str]:
@@ -223,16 +230,33 @@ def test_leader_list_parsing_errors(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("tol", ["0", "-1", "nan", "0.1", "100"])
-def test_oracle_rejects_tol_outside_the_band(tmp_path, capsys, tol):
-    # with tol <= 0 every pivot passes, so an isolated follower looks
-    # controllable; from tol = 1/BAND up a zero forcing path never can
-    for text, leaders in (("# n=3\n0 1\n", "0"), ("0 1\n1 2\n", "0")):
+def test_oracle_exact_verdicts_without_tol(tmp_path, capsys):
+    # an isolated follower is never reachable; a path from its end always is
+    for text, expect in (("# n=3\n0 1\n", "0/5 trials controllable (5 uncontrollable, 0 indeterminate)"),
+                         ("0 1\n1 2\n", "5/5 trials controllable (0 uncontrollable, 0 indeterminate)")):
         path = tmp_path / "g.edges"
         path.write_text(text)
-        code, out = run(capsys, "oracle", "--graph", str(path), "--leaders", leaders,
-                        "--trials", "5", "--tol", tol)
-        assert code == 2 and out == ""
+        code, out = run(capsys, "oracle", "--graph", str(path), "--leaders", "0", "--trials", "5")
+        assert code == 0 and out == expect + "\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--graph", str(path), "--leaders", "0", "--tol", "1e-7"])
+    assert exc.value.code == 2
+
+
+def test_oracle_rejects_graphs_beyond_the_exact_limit(tmp_path, capsys):
+    path = tmp_path / "big.edges"
+    path.write_text("# n=8193\n0 1\n")
+    code, out = run(capsys, "oracle", "--graph", str(path), "--leaders", "0", "--trials", "1")
+    assert code == 2 and out == ""
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, zfnets.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_grammar_r2_checks_the_diameter(tmp_path, capsys):
