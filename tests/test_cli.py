@@ -238,9 +238,18 @@ def test_oracle_exact_verdicts_without_tol(tmp_path, capsys):
         path.write_text(text)
         code, out = run(capsys, "oracle", "--graph", str(path), "--leaders", "0", "--trials", "5")
         assert code == 0 and out == expect + "\n"
-    with pytest.raises(SystemExit) as exc:
-        main(["oracle", "--graph", str(path), "--leaders", "0", "--tol", "1e-7"])
-    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "0.1", "100"])
+def test_oracle_rejects_tol_outside_the_band(tmp_path, capsys, tol):
+    # the rank is exact, so there is no tolerance band left: any --tol is a usage error
+    for text, leaders in (("# n=3\n0 1\n", "0"), ("0 1\n1 2\n", "0")):
+        path = tmp_path / "g.edges"
+        path.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--graph", str(path), "--leaders", leaders,
+                  "--trials", "5", "--tol", tol])
+        assert exc.value.code == 2 and capsys.readouterr().out == ""
 
 
 def test_oracle_rejects_graphs_beyond_the_exact_limit(tmp_path, capsys):
