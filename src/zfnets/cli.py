@@ -154,6 +154,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.nodes < 1:
+        raise ValueError(f"--nodes must be at least 1, got {args.nodes}")
     families = [cons.normalize_family(f) for f in args.families.split(",") if f.strip()]
     leader_values = _parse_int_values(args.leaders)
     rows, notes = rob.sweep(args.nodes, families, leader_values, g3_d=args.g3_diameter)

@@ -5,6 +5,9 @@ A set whose closure is the whole vertex set is a zero forcing set (ZFS);
 for leader-follower consensus dynamics this is exactly strong structural
 controllability of the pair (graph, leaders).  Only _run applies forces;
 derived_set, closure and is_unique_process each read one run of it.
+is_maximal_for_zfs answers from the edge bound kn - k(k+1)/2 when the graph
+meets it, and otherwise resumes the recorded forcing order, with one _run
+per forcer that an added edge can stall.
 """
 from __future__ import annotations
 
@@ -59,17 +62,22 @@ def forcing_candidates(g: Graph, black: Iterable[int]) -> list[tuple[int, int]]:
     return out
 
 
-def _run(g: Graph, black: Iterable[int]) -> tuple[ForcingTrace, bool]:
+def _run(
+    g: Graph, black: Iterable[int], nbrs: list[set[int]] | None = None
+) -> tuple[ForcingTrace, bool]:
     """Force to exhaustion, smallest forcer id first; return (trace, unique).
 
-    white[v] counts v's white neighbors.  A black node turns forcer once, when
-    white[v] reaches 1, and enters the heap with its one white neighbor; the
-    entry goes stale when that neighbor turns black.  pending holds the nodes
-    some forcer can force: the process is unique iff it never holds two.
+    nbrs, when given, replaces g's adjacency: the maximality scan passes a
+    patched copy instead of editing g.  white[v] counts v's white neighbors.
+    A black node turns forcer once, when white[v] reaches 1, and enters the
+    heap with its one white neighbor; the entry goes stale when that
+    neighbor turns black.  pending holds the nodes some forcer can force:
+    the process is unique iff it never holds two.
     """
     black_set = _as_black_set(g, black)
     initial = frozenset(black_set)
-    nbrs = [g.neighbors(v) for v in range(g.n)]
+    if nbrs is None:
+        nbrs = [g.neighbors(v) for v in range(g.n)]
     white = [len(a) - len(a & black_set) for a in nbrs]
     heap = [(v, min(nbrs[v] - black_set)) for v in sorted(black_set) if white[v] == 1]
     pending = {u for _, u in heap}
@@ -148,16 +156,76 @@ def is_maximal_for_zfs(
     """Check that no edge can be added while the leaders stay a ZFS.
 
     Returns (maximal, violations) where violations lists every non-edge whose
-    addition would preserve the ZFS property.  Raises ValueError when the
-    leaders are not a ZFS of g in the first place.
+    addition would preserve the ZFS property, in lexicographic order.  Raises
+    ValueError when the leaders are not a ZFS of g in the first place.  One
+    forcing run of g settles most non-edges; the rest share at most one
+    resumed run per forcer.
+
+    Edge bound.  Say k leaders force all n nodes.  A node that has forced has
+    no white neighbor from then on, so only the black nodes that have not
+    forced yet (the chain ends) can have white neighbors; there are always
+    k of them, as each force retires one and adds the node it forces.  When
+    y turns black, each neighbor that is already black is therefore a chain
+    end: y has at most k earlier neighbors.  Counting each edge at its later
+    endpoint, plus at most C(k, 2) edges among the leaders, gives
+    |E| <= C(k, 2) + k(n - k) = kn - k(k+1)/2.  Adding an edge to a graph
+    at the bound would break it, so such a graph is maximal: an O(m) answer.
+
+    Below the bound.  Adding uv changes only the white counts of u and v, so
+    the recorded steps stay legal in G + uv up to the first one whose forcer
+    is one endpoint while the other is still white.  With no such step the
+    whole record is legal and uv is addable.  Otherwise call that forcer x,
+    the node it forces w and the other endpoint y; only one endpoint can be
+    x, since x turned black before y and y forces only after that.  From the
+    black set B before the step, x has two white neighbors in G + uv, w and
+    y, so x is stuck, as it is in G with the edge xw cut, and the counts of
+    all other black nodes agree: the two graphs force alike until w or y
+    turns black.  Let R be the closure of B in G - xw.  Once w is black,
+    every count in G - xw is what it is in G, and in G any black set holding
+    the leaders forces every node; so if R holds w, R holds y too.  If R
+    misses y, G + uv therefore stops at R.  If R holds y, then in G + uv
+    y turns black, or w does first and x forces y.  Either way x and y are
+    both black, the edge xy changes no count from then on, and G + uv forces
+    every node as G does.  So uv is addable iff R holds y, and R depends on
+    x alone.
     """
-    if not is_zfs(g, leaders):
+    leaders.validate_for(g)
+    trace = derived_set(g, leaders)
+    n, k = g.n, len(leaders)
+    if len(trace.derived) != n:
         raise ValueError("leaders are not a zero forcing set of the given graph")
+    if g.edge_count() == k * n - k * (k + 1) // 2:
+        return True, []
+    steps = trace.steps
+    turned = [-1] * n  # step at which each node turned black; -1 for leaders
+    forced_at = [len(steps)] * n  # step at which each node forced; len(steps) if never
+    for i, (x, y) in enumerate(steps):
+        forced_at[x] = i
+        turned[y] = i
+    nbrs = [set(g.neighbors(v)) for v in range(n)]
+    reached: dict[int, frozenset[int]] = {}
+
+    def addable(x: int, y: int) -> bool:
+        """Whether G + xy keeps the ZFS, given that x forces while y is white."""
+        if x not in reached:
+            i = forced_at[x]
+            w = steps[i][1]
+            nbrs[x].discard(w)
+            nbrs[w].discard(x)
+            before = trace.initial_black.union(u for _, u in steps[:i])
+            reached[x] = _run(g, before, nbrs)[0].derived
+            nbrs[x].add(w)
+            nbrs[w].add(x)
+        return y in reached[x]
+
     violations: list[tuple[int, int]] = []
-    work = g.copy()
     for u, v in g.non_edges():
-        work.add_edge(u, v)
-        if len(closure(work, leaders)) == work.n:
+        if turned[v] > forced_at[u]:
+            ok = addable(u, v)
+        elif turned[u] > forced_at[v]:
+            ok = addable(v, u)
+        else:
+            ok = True
+        if ok:
             violations.append((u, v))
-        work.remove_edge(u, v)
     return (not violations, violations)

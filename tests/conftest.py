@@ -1,4 +1,5 @@
-"""Shared helpers: the (N, N_L) parameter grids and random-graph generators."""
+"""Shared helpers: the (N, N_L) parameter grids, random-graph generators and
+the leader paths of the g1 skeleton."""
 from __future__ import annotations
 
 from itertools import combinations
@@ -48,3 +49,21 @@ def random_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
         if rng.uniform() < p:
             g.add_edge(u, v)
     return g
+
+
+def cross_path_non_edges(g: Graph, leaders) -> list[tuple[int, int]]:
+    """Non-edges whose ends lie on different leader paths, lexicographic.
+
+    A node's path is the leader it reaches without passing another leader,
+    which for the g1 skeleton is its own chain.
+    """
+    owner = {v: v for v in leaders}
+    for leader in leaders:
+        stack = [leader]
+        while stack:
+            x = stack.pop()
+            for y in g.neighbors(x):
+                if y not in owner:
+                    owner[y] = leader
+                    stack.append(y)
+    return [(u, v) for u, v in g.non_edges() if owner[u] != owner[v]]

@@ -4,8 +4,10 @@ Each oracle takes a deliberately different route from the code under test:
 eigenvalues via a cyclic Jacobi iteration and via LDL^T inertia counts +
 bisection (vs. LAPACK's eigvalsh in the package), zero-forcing closure,
 traces and uniqueness via naive rescanning (vs. the heap-ordered worklist),
-and Kalman rank over Q via Fraction elimination on the exact integer powers
-(vs. block Krylov elimination mod a prime).
+addable edges by rerunning that rescan on every G + uv (vs. the edge bound
+and the resumed forcing record), and Kalman rank over Q via Fraction
+elimination on the exact integer powers (vs. block Krylov elimination mod a
+prime).
 """
 from __future__ import annotations
 
@@ -170,6 +172,17 @@ def closure_bruteforce(g: Graph, black: set[int]) -> frozenset[int]:
                 black.add(white[0])
                 changed = True
     return frozenset(black)
+
+
+def addable_edges_exhaustive(g: Graph, black: set[int]) -> list[tuple[int, int]]:
+    """Every non-edge uv, in lexicographic order, such that black forces all of G + uv."""
+    out = []
+    for u, v in g.non_edges():
+        h = g.copy()
+        h.add_edge(u, v)
+        if len(closure_bruteforce(h, black)) == g.n:
+            out.append((u, v))
+    return out
 
 
 def derived_set_rescan(g: Graph, black: set[int]) -> ForcingTrace:

@@ -160,6 +160,17 @@ def test_sweep_default_filename(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "sweep_n12.csv").exists()
 
 
+@pytest.mark.parametrize("nodes", ["0", "-5"])
+def test_sweep_rejects_non_positive_nodes(tmp_path, capsys, nodes):
+    out = tmp_path / "table.csv"
+    code = main(["sweep", "--nodes", nodes, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: --nodes must be at least 1, got {nodes}\n"
+    assert not out.exists()
+
+
 def test_grammar_run_matches_construction(tmp_path, capsys):
     out = tmp_path / "run"
     frames = tmp_path / "frames"

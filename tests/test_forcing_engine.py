@@ -1,15 +1,30 @@
-"""The one forcing engine against the rescanning oracles."""
+"""The one forcing engine and the maximality scan against the rescanning oracles."""
 from __future__ import annotations
+
+from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_graph
-from oracles import closure_bruteforce, derived_set_rescan, is_unique_rescan
+from conftest import (
+    cross_path_non_edges,
+    g1_feasible,
+    g2_feasible,
+    g3_diameters,
+    grid_points,
+    random_graph,
+)
+from oracles import (
+    addable_edges_exhaustive,
+    closure_bruteforce,
+    derived_set_rescan,
+    is_unique_rescan,
+)
 from zfnets import constructions as cons
-from zfnets.graph import LeaderSet
+from zfnets.graph import Graph, LeaderSet
 from zfnets.zero_forcing import closure, derived_set, is_maximal_for_zfs, is_unique_process
 
 
@@ -47,12 +62,105 @@ def test_maximality_violations_match_bruteforce(seed, n, p):
     leaders = {v for v in range(n) if rng.uniform() < 0.3}
     while white := set(range(n)) - closure_bruteforce(g, leaders):
         leaders.add(min(white))
-    expected = []
-    for u, v in g.non_edges():
-        h = g.copy()
-        h.add_edge(u, v)
-        if len(closure_bruteforce(h, leaders)) == n:
-            expected.append((u, v))
+    expected = addable_edges_exhaustive(g, leaders)
     maximal, violations = is_maximal_for_zfs(g, LeaderSet(tuple(leaders)))
     assert violations == expected
     assert maximal == (not expected)
+
+
+def _edge_bound(n: int, k: int) -> int:
+    return k * n - k * (k + 1) // 2
+
+
+def _small_specs() -> list[cons.ConstructionSpec]:
+    """Every feasible construction with n <= 24 and at most 6 leaders."""
+    specs = []
+    for n in range(2, 25):
+        for k in range(1, 7):
+            for family in cons.FAMILIES:
+                ds = g3_diameters(n, k) if family == cons.G3_BAR else [cons.default_d(family, n, k)]
+                for d in ds:
+                    try:
+                        specs.append(cons.ConstructionSpec(family, n, k, d))
+                    except cons.InfeasibleSpecError:
+                        pass
+    return specs
+
+
+SMALL_SPECS = _small_specs()
+
+
+@given(st.sampled_from(SMALL_SPECS), st.integers(0, 3), st.integers(0, 2**31 - 1))
+@settings(max_examples=120, deadline=None)
+def test_maximality_matches_bruteforce_near_the_bound(spec, drops, seed):
+    # A relabelled construction sits at the edge bound; deleting up to three
+    # edges, each only while the leaders still force, puts it just below.
+    rng = np.random.default_rng(seed)
+    net = cons.build(spec)
+    n = spec.n
+    perm = [int(x) for x in rng.permutation(n)]
+    g = Graph(n, ((perm[u], perm[v]) for u, v in net.graph.edges()))
+    leaders = {perm[v] for v in net.leaders}
+    edges = g.edges()
+    for idx in rng.permutation(len(edges))[:drops]:
+        g.remove_edge(*edges[idx])
+        if len(closure_bruteforce(g, leaders)) != n:
+            g.add_edge(*edges[idx])
+    assert g.edge_count() <= _edge_bound(n, len(leaders))
+    expected = addable_edges_exhaustive(g, leaders)
+    maximal, violations = is_maximal_for_zfs(g, LeaderSet(tuple(leaders)))
+    assert violations == expected
+    assert maximal == (not expected)
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(1, 10), st.floats(0.0, 1.0))
+@settings(max_examples=60, deadline=None)
+def test_zfs_edge_bound(seed, n, p):
+    # The bound kn - k(k+1)/2 grows with k < n, so checking a smallest ZFS
+    # checks every ZFS of the graph.
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n, p)
+    leaders = next(
+        set(s)
+        for k in range(1, n + 1)
+        for s in combinations(range(n), k)
+        if len(closure_bruteforce(g, set(s))) == n
+    )
+    k = len(leaders)
+    assert g.edge_count() <= _edge_bound(n, k)
+    # Random graphs stay far below the bound; adding every edge the leaders
+    # survive, in random order, comes close to it.
+    non_edges = g.non_edges()
+    for idx in rng.permutation(len(non_edges)):
+        g.add_edge(*non_edges[idx])
+        if len(closure_bruteforce(g, leaders)) != n:
+            g.remove_edge(*non_edges[idx])
+    assert g.edge_count() <= _edge_bound(n, k)
+
+
+def test_constructions_have_no_addable_edge_by_exhaustive_scan():
+    # Criterion 2's grid, checked without the edge-bound certificate.
+    checked = 0
+    for n, k in grid_points(24):
+        nets = []
+        if g1_feasible(n, k):
+            nets.append(cons.build_g1_bar(n, k, n // k))
+        if g2_feasible(n, k):
+            nets.append(cons.build_g2_bar(n, k))
+        for d in g3_diameters(n, k):
+            nets.append(cons.build_g3_bar(n, k, d))
+        for net in nets:
+            assert addable_edges_exhaustive(net.graph, set(net.leaders)) == [], net.spec
+            checked += 1
+    assert checked > 50
+
+
+@pytest.mark.parametrize("k, d", [(1, 8), (2, 6), (3, 8), (4, 6), (5, 8), (4, 15), (5, 12)])
+def test_g1_violations_join_different_leader_paths(k, d):
+    net = cons.build_g1(k * d, k, d)
+    expected = cross_path_non_edges(net.graph, net.leaders)
+    maximal, violations = is_maximal_for_zfs(net.graph, net.leaders)
+    assert violations == addable_edges_exhaustive(net.graph, set(net.leaders)) == expected
+    assert maximal == (k == 1)
+    # the pairs inside one leader's path are the non-edges left over
+    assert len(net.graph.non_edges()) - len(violations) == k * comb(d - 1, 2)

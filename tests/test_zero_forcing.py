@@ -1,13 +1,17 @@
 """Zero forcing: candidates, closure, traces, uniqueness, maximality."""
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_graph
+from conftest import cross_path_non_edges, random_graph
 from oracles import closure_bruteforce
+from zfnets import constructions as cons
+from zfnets import zero_forcing
 from zfnets.constructions import build_g1, build_g1_bar, build_g2_bar, build_g3_bar
 from zfnets.graph import Graph, LeaderSet, complete_graph, path_graph
 from zfnets.zero_forcing import (
@@ -158,6 +162,28 @@ def test_maximality_does_not_mutate_graph():
     before = net.graph.edges()
     is_maximal_for_zfs(net.graph, net.leaders)
     assert net.graph.edges() == before
+
+
+def test_g1_at_n240_violations_are_the_cross_path_pairs():
+    net = build_g1(240, 4, 60)
+    maximal, violations = is_maximal_for_zfs(net.graph, net.leaders)
+    assert not maximal
+    assert violations == cross_path_non_edges(net.graph, net.leaders)
+    assert len(violations) == 6 * 60 * 60 - 6  # leader clique edges are not non-edges
+
+
+@pytest.mark.parametrize("family", [cons.G1_BAR, cons.G2_BAR, cons.G3_BAR])
+def test_constructions_at_n240_are_maximal_within_0_1_s(family, monkeypatch):
+    net = cons.build(cons.ConstructionSpec(family, 240, 4, cons.default_d(family, 240, 4)))
+    runs = []
+    engine = zero_forcing._run
+    monkeypatch.setattr(zero_forcing, "_run", lambda *a: runs.append(a) or engine(*a))
+    start = time.perf_counter()
+    result = is_maximal_for_zfs(net.graph, net.leaders)
+    elapsed = time.perf_counter() - start
+    assert result == (True, [])
+    assert elapsed < 0.1
+    assert len(runs) == 1  # the edge bound answers after the forcing run of g
 
 
 @given(st.integers(0, 2**31 - 1))
