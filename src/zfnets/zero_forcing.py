@@ -62,22 +62,17 @@ def forcing_candidates(g: Graph, black: Iterable[int]) -> list[tuple[int, int]]:
     return out
 
 
-def _run(
-    g: Graph, black: Iterable[int], nbrs: list[set[int]] | None = None
-) -> tuple[ForcingTrace, bool]:
+def _run(g: Graph, black: Iterable[int]) -> tuple[ForcingTrace, bool]:
     """Force to exhaustion, smallest forcer id first; return (trace, unique).
 
-    nbrs, when given, replaces g's adjacency: the maximality scan passes a
-    patched copy instead of editing g.  white[v] counts v's white neighbors.
-    A black node turns forcer once, when white[v] reaches 1, and enters the
-    heap with its one white neighbor; the entry goes stale when that
-    neighbor turns black.  pending holds the nodes some forcer can force:
-    the process is unique iff it never holds two.
+    white[v] counts v's white neighbors.  A black node turns forcer once, when
+    white[v] reaches 1, and enters the heap with its one white neighbor; the
+    entry goes stale when that neighbor turns black.  pending holds the nodes
+    some forcer can force: the process is unique iff it never holds two.
     """
     black_set = _as_black_set(g, black)
     initial = frozenset(black_set)
-    if nbrs is None:
-        nbrs = [g.neighbors(v) for v in range(g.n)]
+    nbrs = [g.neighbors(v) for v in range(g.n)]
     white = [len(a) - len(a & black_set) for a in nbrs]
     heap = [(v, min(nbrs[v] - black_set)) for v in sorted(black_set) if white[v] == 1]
     pending = {u for _, u in heap}
@@ -202,7 +197,7 @@ def is_maximal_for_zfs(
     for i, (x, y) in enumerate(steps):
         forced_at[x] = i
         turned[y] = i
-    nbrs = [set(g.neighbors(v)) for v in range(n)]
+    work = g.copy()
     reached: dict[int, frozenset[int]] = {}
 
     def addable(x: int, y: int) -> bool:
@@ -210,12 +205,10 @@ def is_maximal_for_zfs(
         if x not in reached:
             i = forced_at[x]
             w = steps[i][1]
-            nbrs[x].discard(w)
-            nbrs[w].discard(x)
             before = trace.initial_black.union(u for _, u in steps[:i])
-            reached[x] = _run(g, before, nbrs)[0].derived
-            nbrs[x].add(w)
-            nbrs[w].add(x)
+            work.remove_edge(x, w)
+            reached[x] = closure(work, before)
+            work.add_edge(x, w)
         return y in reached[x]
 
     violations: list[tuple[int, int]] = []
