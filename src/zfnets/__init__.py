@@ -15,6 +15,7 @@ from .constructions import (
     build_g1_bar,
     build_g2_bar,
     build_g3_bar,
+    build_word,
     edge_terms_g1,
     edge_terms_g2,
     expected_edges,

@@ -24,7 +24,7 @@ from .graph import (
     from_edge_list_text,
     to_edge_list_text,
 )
-from .zero_forcing import is_maximal_for_zfs, is_unique_process, is_zfs
+from .zero_forcing import _verify
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -127,14 +127,13 @@ def cmd_construct(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph, n=args.nodes)
     leaders = LeaderSet(_parse_id_list(args.leaders))
-    leaders.validate_for(g)
-    zfs = is_zfs(g, leaders)
+    zfs, unique, scan = _verify(g, leaders)
     print(f"zfs: {'yes' if zfs else 'no'}")
-    print(f"unique-process: {'yes' if is_unique_process(g, leaders) else 'no'}")
-    if not zfs:
+    print(f"unique-process: {'yes' if unique else 'no'}")
+    if scan is None:
         print("maximal: n/a (leaders are not a zero forcing set)")
         return EXIT_VERIFICATION_FAILED
-    maximal, violations = is_maximal_for_zfs(g, leaders)
+    maximal, violations = scan
     print(f"maximal: {'yes' if maximal else 'no'}")
     for u, v in violations:
         print(f"violation: {u} {v}")
@@ -158,6 +157,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError(f"--nodes must be at least 1, got {args.nodes}")
     families = [cons.normalize_family(f) for f in args.families.split(",") if f.strip()]
     leader_values = _parse_int_values(args.leaders)
+    if leader_values[0] < 1:
+        raise ValueError(f"--leaders must be at least 1, got {leader_values[0]}")
     rows, notes = rob.sweep(args.nodes, families, leader_values, g3_d=args.g3_diameter)
     for note in notes:
         print(f"note: {note}")

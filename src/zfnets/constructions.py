@@ -14,14 +14,18 @@ Families (k leaders, n nodes total):
             [2, n/k]: a G1_BAR-style prefix whose last layer acts as the
             pseudo-leader set of a G2_BAR-style tail.
 
-All four have exactly k*(2n-k-1)/2 edges (for G1 the formula with its own
-layer structure), identical leader ids 0..k-1, and deterministic id layouts,
-so repeated builds are byte-for-byte identical.
+The three bar families meet the zero forcing edge bound kn - k(k+1)/2 and
+are built from forcing words by build_word: g1bar from (0..k-1)^(d-1),
+g2bar from 0^(n-k), g3bar from (0..k-1)^(d-2) 0^(n-k(d-1)) or, when
+d = n/k > 2, g1bar's word.  G1 has C(k, 2) + k(d-1) edges, below the
+bound.  All four put the leaders at ids 0..k-1 and use deterministic id
+layouts, so repeated builds are byte-for-byte identical.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import Sequence
 
 from .graph import Graph, LeaderSet
 
@@ -237,130 +241,107 @@ def _follower_id(k: int, i: int, j: int) -> int:
     return k + (j - 1) * k + (i - 1)
 
 
-def _leader_layout(k: int) -> dict[int, str]:
-    return {i - 1: f"L{i}" for i in range(1, k + 1)}
+def _layered_layout(k: int, layers: int) -> dict[int, str]:
+    """Roles L1..Lk of the leaders and u_{i,j} of layers j = 1..layers."""
+    layout = {i - 1: f"L{i}" for i in range(1, k + 1)}
+    for j in range(1, layers + 1):
+        for i in range(1, k + 1):
+            layout[_follower_id(k, i, j)] = f"u_{i},{j}"
+    return layout
 
 
 def build_g1(n: int, n_leaders: int, d: int) -> ConstructedNetwork:
     """Leader clique plus k disjoint follower paths (the sparse skeleton)."""
     spec = ConstructionSpec(family=G1, n=n, n_leaders=n_leaders, d=d)
     k = n_leaders
-    g = Graph(n)
-    layout = _leader_layout(k)
-    for a, b in combinations(range(k), 2):
-        g.add_edge(a, b)
+    g = Graph(n, combinations(range(k), 2))
     for i in range(1, k + 1):
         if d >= 2:
             g.add_edge(i - 1, _follower_id(k, i, 1))
         for j in range(1, d - 1):
             g.add_edge(_follower_id(k, i, j), _follower_id(k, i, j + 1))
-        for j in range(1, d):
-            layout[_follower_id(k, i, j)] = f"u_{i},{j}"
-    return ConstructedNetwork(spec, g, LeaderSet(tuple(range(k))), layout)
+    return ConstructedNetwork(spec, g, LeaderSet(tuple(range(k))), _layered_layout(k, d - 1))
 
 
-def _augment_g1(g: Graph, k: int, d: int) -> None:
-    """Add the fan-in, diagonal and layer-clique edges that make G1 maximal."""
-    if d < 2:
-        return
-    for i in range(1, k + 1):
-        for q in range(1, i):
-            g.add_edge(i - 1, _follower_id(k, q, 1))
-    for j in range(1, d - 1):
-        for i in range(1, k + 1):
-            for q in range(1, i):
-                g.add_edge(_follower_id(k, i, j), _follower_id(k, q, j + 1))
-    for j in range(1, d):
-        layer = [_follower_id(k, i, j) for i in range(1, k + 1)]
-        for a, b in combinations(layer, 2):
-            g.add_edge(a, b)
+def build_word(k: int, word: Sequence[int]) -> Graph:
+    """The graph of a forcing word; the ZFS graphs at the edge bound are these.
+
+    Nodes 0..k-1 form a clique and fill the active list A.  Node k+t is
+    joined to every node of A and then replaces A[word[t]], the node that
+    forces it.  The last symbol of a word never changes the graph.
+
+    Every word gives a maximal ZFS graph.  It has C(k, 2) + k*len(word) =
+    kn - k(k+1)/2 edges, the bound proved in is_maximal_for_zfs.  A node
+    stays in A from the step that adds it until the step that replaces it,
+    so its neighbours above its own id are the nodes added in that span.
+    Let 0..v-1 be black.  A black node with a white neighbour w > v was in
+    A when w was added, so also when v was, and v is a second white
+    neighbour: every available force hits v.  The node v replaces has v as
+    its only neighbour above v-1, so it forces v.  The leaders force the
+    graph in id order, and at the bound no edge can be added.
+
+    Every ZFS graph G at the bound has a word.  The bound proof counts at
+    most C(k, 2) leader edges, and for each follower y at most k earlier
+    neighbours, all of them chain ends when y turns black.  At the bound
+    both counts are exact: the leaders form a clique, and y is joined to
+    exactly the k chain ends of that moment.  When x forces y, y replaces x
+    among the chain ends.  Number the leaders 0..k-1 and the followers in
+    the order they turn black, and let word[t] be the slot of the chain end
+    that forces follower k+t.  Then the chain ends are A at every step, and
+    build_word(k, word) is G under that numbering.
+    """
+    g = Graph(k + len(word), combinations(range(k), 2))
+    active = list(range(k))
+    for v, slot in enumerate(word, start=k):
+        if not 0 <= slot < k:
+            raise ValueError(f"word symbol {slot} is not a slot in 0..{k - 1}")
+        for a in active:
+            g.add_edge(a, v)
+        active[slot] = v
+    return g
+
+
+def _from_word(
+    spec: ConstructionSpec, word: list[int], layout: dict[int, str]
+) -> ConstructedNetwork:
+    k = spec.n_leaders
+    return ConstructedNetwork(spec, build_word(k, word), LeaderSet(tuple(range(k))), layout)
 
 
 def build_g1_bar(n: int, n_leaders: int, d: int) -> ConstructedNetwork:
-    """Edge-maximal variant of G1 (same layout, same leader set)."""
-    base = build_g1(n, n_leaders, d)
+    """Edge-maximal variant of G1, same ids and layout: the word (0..k-1)^(d-1)."""
     spec = ConstructionSpec(family=G1_BAR, n=n, n_leaders=n_leaders, d=d)
-    g = base.graph
-    _augment_g1(g, n_leaders, d)
-    assert g.edge_count() == expected_edges(n, n_leaders)
-    return ConstructedNetwork(spec, g, base.leaders, base.layout)
+    k = n_leaders
+    return _from_word(spec, list(range(k)) * (d - 1), _layered_layout(k, d - 1))
 
 
 def build_g2_bar(n: int, n_leaders: int) -> ConstructedNetwork:
-    """Diameter-2 family: leader clique + follower path off L1 + full fan-out."""
+    """Diameter-2 family, the word 0^(n-k): a follower path u_1..u_m off L1,
+    and every other leader joined to every follower."""
     spec = ConstructionSpec(family=G2_BAR, n=n, n_leaders=n_leaders)
     k = n_leaders
-    m = n - k
-    g = Graph(n)
-    layout = _leader_layout(k)
-    for a, b in combinations(range(k), 2):
-        g.add_edge(a, b)
-    g.add_edge(0, k)
-    for j in range(1, m):
-        g.add_edge(k + j - 1, k + j)
-    for i in range(2, k + 1):
-        for j in range(1, m + 1):
-            g.add_edge(i - 1, k + j - 1)
-    for j in range(1, m + 1):
-        layout[k + j - 1] = f"u_{j}"
-    assert g.edge_count() == expected_edges(n, n_leaders)
-    return ConstructedNetwork(spec, g, LeaderSet(tuple(range(k))), layout)
+    layout = _layered_layout(k, 0)
+    layout.update({v: f"u_{v - k + 1}" for v in range(k, n)})
+    return _from_word(spec, [0] * (n - k), layout)
 
 
 def build_g3_bar(n: int, n_leaders: int, d: int) -> ConstructedNetwork:
     """Any-diameter family: G1_BAR-style prefix feeding a G2_BAR-style tail.
 
-    The prefix occupies layers 0..d-2 (k*(d-1) nodes); its last layer plays
-    the leader role of the tail, whose first node extends chain 1.  At the
-    range boundaries the edge set coincides exactly with the corresponding
-    pure family: d = 2 reproduces build_g2_bar, and d = n/k (for d > 2)
-    returns the build_g1_bar edge set verbatim.
+    The word is (0..k-1)^(d-2) 0^t with t = n - k(d-1): layers 1..d-2 as in
+    G1_BAR, then a tail v_1..v_t whose path extends chain 1 off the last
+    prefix layer, joined to the rest of that layer.  d = 2 reproduces
+    build_g2_bar, and d = n/k > 2 returns the build_g1_bar graph verbatim.
     """
     spec = ConstructionSpec(family=G3_BAR, n=n, n_leaders=n_leaders, d=d)
     k = n_leaders
     if d > 2 and k * d == n:
-        bar = build_g1_bar(n, k, d)
-        net = ConstructedNetwork(spec, bar.graph, bar.leaders, bar.layout)
-        _check_diameter(net, d)
-        return net
-
-    g = Graph(n)
-    layout = _leader_layout(k)
-
-    def layer(j: int) -> list[int]:
-        if j == 0:
-            return list(range(k))
-        return [_follower_id(k, i, j) for i in range(1, k + 1)]
-
-    for a, b in combinations(layer(0), 2):
-        g.add_edge(a, b)
-    for j in range(0, d - 2):
-        lower, upper = layer(j), layer(j + 1)
-        for i in range(k):
-            g.add_edge(lower[i], upper[i])
-            for q in range(i):
-                g.add_edge(lower[i], upper[q])
-    for j in range(1, d - 1):
-        for a, b in combinations(layer(j), 2):
-            g.add_edge(a, b)
-    for j in range(1, d - 1):
-        for i in range(1, k + 1):
-            layout[_follower_id(k, i, j)] = f"u_{i},{j}"
-
-    t = n - k * (d - 1)
-    pseudo = layer(d - 2)
-    tail = [k * (d - 1) + jj for jj in range(t)]
-    g.add_edge(pseudo[0], tail[0])
-    for jj in range(t - 1):
-        g.add_edge(tail[jj], tail[jj + 1])
-    for p in pseudo[1:]:
-        for v in tail:
-            g.add_edge(p, v)
-    for jj, v in enumerate(tail, start=1):
-        layout[v] = f"v_{jj}"
-
-    assert g.edge_count() == expected_edges(n, n_leaders)
-    net = ConstructedNetwork(spec, g, LeaderSet(tuple(range(k))), layout)
+        net = _from_word(spec, list(range(k)) * (d - 1), _layered_layout(k, d - 1))
+    else:
+        layout = _layered_layout(k, d - 2)
+        start = k * (d - 1)
+        layout.update({v: f"v_{v - start + 1}" for v in range(start, n)})
+        net = _from_word(spec, list(range(k)) * (d - 2) + [0] * (n - start), layout)
     _check_diameter(net, d)
     return net
 

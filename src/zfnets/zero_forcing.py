@@ -4,7 +4,8 @@ A black node with exactly one white neighbor forces that neighbor black.
 A set whose closure is the whole vertex set is a zero forcing set (ZFS);
 for leader-follower consensus dynamics this is exactly strong structural
 controllability of the pair (graph, leaders).  Only _run applies forces;
-derived_set, closure and is_unique_process each read one run of it.
+derived_set, closure and is_unique_process each read one run of it, and
+_verify reads the ZFS, uniqueness and maximality verdicts off one run.
 is_maximal_for_zfs answers from the edge bound kn - k(k+1)/2 when the graph
 meets it, and otherwise resumes the recorded forcing order, with one _run
 per forcer that an added edge can stall.
@@ -165,6 +166,7 @@ def is_maximal_for_zfs(
     endpoint, plus at most C(k, 2) edges among the leaders, gives
     |E| <= C(k, 2) + k(n - k) = kn - k(k+1)/2.  Adding an edge to a graph
     at the bound would break it, so such a graph is maximal: an O(m) answer.
+    constructions.build_word builds exactly the graphs at the bound.
 
     Below the bound.  Adding uv changes only the white counts of u and v, so
     the recorded steps stay legal in G + uv up to the first one whose forcer
@@ -184,13 +186,26 @@ def is_maximal_for_zfs(
     every node as G does.  So uv is addable iff R holds y, and R depends on
     x alone.
     """
+    scan = _verify(g, leaders)[2]
+    if scan is None:
+        raise ValueError("leaders are not a zero forcing set of the given graph")
+    return scan
+
+
+def _verify(
+    g: Graph, leaders: LeaderSet
+) -> tuple[bool, bool, tuple[bool, list[tuple[int, int]]] | None]:
+    """is_zfs, is_unique_process and is_maximal_for_zfs from one forcing run.
+
+    The third item is None when the leaders are not a ZFS.
+    """
     leaders.validate_for(g)
-    trace = derived_set(g, leaders)
+    trace, unique = _run(g, leaders)
     n, k = g.n, len(leaders)
     if len(trace.derived) != n:
-        raise ValueError("leaders are not a zero forcing set of the given graph")
+        return False, unique, None
     if g.edge_count() == k * n - k * (k + 1) // 2:
-        return True, []
+        return True, unique, (True, [])
     steps = trace.steps
     turned = [-1] * n  # step at which each node turned black; -1 for leaders
     forced_at = [len(steps)] * n  # step at which each node forced; len(steps) if never
@@ -221,4 +236,4 @@ def is_maximal_for_zfs(
             ok = True
         if ok:
             violations.append((u, v))
-    return (not violations, violations)
+    return True, unique, (not violations, violations)

@@ -1,6 +1,7 @@
 """Command-line interface: files written, stdout contracts, exit codes."""
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -9,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from zfnets import zero_forcing
 from zfnets.cli import main
-from zfnets.constructions import build_g1, build_g1_bar, build_g2_bar
+from zfnets.constructions import FAMILIES, build_g1, build_g1_bar, build_g2_bar, default_d
 from zfnets.graph import from_edge_list_text, to_edge_list_text
 from zfnets.robustness import spectrum
 
@@ -56,6 +58,32 @@ def test_construct_is_byte_deterministic(tmp_path, capsys):
         assert (tmp_path / f"a{ext}").read_bytes() == (tmp_path / f"b{ext}").read_bytes()
 
 
+# sha256 of the .edges, .layout and .dot texts, in that order, over
+# N in (60, 120, 240) x (2, 4, 6) leaders at default_d: any node id, edge or
+# layout role that moves changes the digest.
+CONSTRUCT_DIGESTS = {
+    "g1": "8b7bcada414cf3a07a76cbfd1db44b28a4d98ab3bab00458ed8c59cf107f09eb",
+    "g1bar": "3d7f901af7140025c80e33112989d717b826bef1a8d4880fa094f5e082ed798d",
+    "g2bar": "186be7597e8b81afae99bef59352acd88ebc352c38c0bc01c6b65f2b9aaa3734",
+    "g3bar": "a83a4702faa0afd9c550bbca20c3ea659171ee5419282b5e10477302d2f007d7",
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_construct_files_match_pinned_digests(tmp_path, capsys, family):
+    digest = hashlib.sha256()
+    for n in (60, 120, 240):
+        for k in (2, 4, 6):
+            prefix = tmp_path / f"{family}_{n}_{k}"
+            code, _ = run(capsys, "construct", "--family", family, "--nodes", str(n),
+                          "--leaders", str(k), "--diameter", str(default_d(family, n, k)),
+                          "--out", str(prefix))
+            assert code == 0
+            for ext in (".edges", ".layout", ".dot"):
+                digest.update((tmp_path / f"{prefix.name}{ext}").read_bytes())
+    assert digest.hexdigest() == CONSTRUCT_DIGESTS[family]
+
+
 def test_construct_format_choices(tmp_path, capsys):
     out = tmp_path / "only"
     code, _ = run(capsys, "construct", "--family", "g2bar", "--nodes", "8",
@@ -96,6 +124,16 @@ def test_verify_passing_network(tmp_path, capsys):
     assert "zfs: yes" in text
     assert "unique-process: yes" in text
     assert "maximal: yes" in text
+
+
+def test_verify_runs_the_forcing_engine_once(tmp_path, capsys, monkeypatch):
+    # At the edge bound the ZFS, uniqueness and maximality verdicts share one run.
+    calls = []
+    engine = zero_forcing._run
+    monkeypatch.setattr(zero_forcing, "_run", lambda g, black: calls.append(g) or engine(g, black))
+    path = write_graph(tmp_path, build_g1_bar(12, 3, 4).graph)
+    code, _ = run(capsys, "verify", "--graph", str(path), "--leaders", "0,1,2")
+    assert code == 0 and len(calls) == 1
 
 
 def test_verify_non_forcing_leaders_exit_3(tmp_path, capsys):
@@ -168,6 +206,17 @@ def test_sweep_rejects_non_positive_nodes(tmp_path, capsys, nodes):
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: --nodes must be at least 1, got {nodes}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("leaders, smallest", [("0", "0"), ("-3,2", "-3"), ("0-4", "0")])
+def test_sweep_rejects_non_positive_leaders(tmp_path, capsys, leaders, smallest):
+    out = tmp_path / "table.csv"
+    code = main(["sweep", "--nodes", "12", f"--leaders={leaders}", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: --leaders must be at least 1, got {smallest}\n"
     assert not out.exists()
 
 

@@ -15,6 +15,7 @@ from zfnets.constructions import (
     build_g1_bar,
     build_g2_bar,
     build_g3_bar,
+    build_word,
     default_d,
     edge_terms_g1,
     edge_terms_g2,
@@ -158,6 +159,13 @@ def test_infeasible_specs_name_the_constraint():
         build_g3_bar(12, 3, 5)
     with pytest.raises(InfeasibleSpecError, match="d <= n/n_leaders"):
         build_g3_bar(12, 6, 3)  # tail would be shorter than one layer
+
+
+def test_build_word_rejects_symbols_outside_the_slots():
+    assert build_word(2, [1, 0]).edge_count() == 5
+    for word in ([2], [0, -1]):
+        with pytest.raises(ValueError, match="slot"):
+            build_word(2, word)
 
 
 def test_construction_is_deterministic():

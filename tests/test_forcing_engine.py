@@ -129,13 +129,46 @@ def test_zfs_edge_bound(seed, n, p):
     k = len(leaders)
     assert g.edge_count() <= _edge_bound(n, k)
     # Random graphs stay far below the bound; adding every edge the leaders
-    # survive, in random order, comes close to it.
+    # survive, in random order, nearly always reaches it.
     non_edges = g.non_edges()
     for idx in rng.permutation(len(non_edges)):
         g.add_edge(*non_edges[idx])
         if len(closure_bruteforce(g, leaders)) != n:
             g.remove_edge(*non_edges[idx])
     assert g.edge_count() <= _edge_bound(n, k)
+    if g.edge_count() == _edge_bound(n, k):
+        # At the bound the graph is its forcing word: the slot, among the
+        # chain ends, of each step's forcer.
+        trace = derived_set(g, leaders)
+        ends = sorted(leaders)
+        word = []
+        for x, y in trace.steps:
+            word.append(ends.index(x))
+            ends[word[-1]] = y
+        new_id = {v: i for i, v in enumerate(sorted(leaders) + list(trace.forced_sequence))}
+        assert cons.build_word(k, word) == Graph(n, ((new_id[u], new_id[v]) for u, v in g.edges()))
+
+
+@st.composite
+def forcing_words(draw):
+    k = draw(st.integers(1, 5))
+    return k, draw(st.lists(st.integers(0, k - 1), max_size=30))
+
+
+@given(forcing_words())
+@settings(max_examples=100, deadline=None)
+def test_every_forcing_word_builds_a_maximal_zfs_graph(k_word):
+    k, word = k_word
+    g = cons.build_word(k, word)
+    n = g.n
+    leaders = LeaderSet(tuple(range(k)))
+    assert derived_set(g, leaders).forced_sequence == tuple(range(k, n))
+    assert g.edge_count() == _edge_bound(n, k)
+    assert is_maximal_for_zfs(g, leaders) == (True, [])
+    if n <= 12:
+        assert addable_edges_exhaustive(g, set(leaders)) == []
+    if word:
+        assert cons.build_word(k, word[:-1] + [0]) == g
 
 
 def test_constructions_have_no_addable_edge_by_exhaustive_scan():
