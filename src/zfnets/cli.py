@@ -162,6 +162,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows, notes = rob.sweep(args.nodes, families, leader_values, g3_d=args.g3_diameter)
     for note in notes:
         print(f"note: {note}")
+    if not rows:
+        raise ValueError(f"no feasible family and leader count at --nodes {args.nodes}")
     out = _resolve_out(args.out, f"sweep_n{args.nodes}.csv")
     _write(out, rob.sweep_csv(rows))
     return EXIT_OK

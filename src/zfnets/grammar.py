@@ -7,9 +7,27 @@ the diameter-2 family (leader clique, one follower chain off the first
 leader, full leader fan-out).  Rules are data: a pair of label patterns, an
 index guard, and an action (connect and/or relabel), so the rule tables are
 readable in one place and the engine stays generic.
+
+A run keeps a match index instead of rechecking every binding after every
+step.  It builds the index once with the full scan, then after each rewrite
+rechecks only the bindings the rewrite can have changed.  The locality
+argument: a binding's verdict (`_binding_ok`) reads only its nodes' labels,
+whether the bound pair is already an edge (connect rules), and the labels
+of the left node's neighbours (`forbid_near_left`); its effect key reads
+only its nodes and their labels.  A rewrite adds at most the edge ab and
+relabels at most a and b.  So a verdict or key can change only for
+- a binding that contains a relabelled node;
+- the binding (a, b) or (b, a) of a connect rule, whose edge now exists;
+- a binding of a `forbid_near_left` rule whose left node is a or b (it
+  gained a neighbour) or a neighbour of a relabelled node.
+Those are exactly the bindings the index rechecks, plus the candidates a
+relabelled node gains by changing kind.  Nothing else moves, so the index
+lists the same matches in the same order as a full scan, and a seed gives
+the same schedule whichever way the matches are found.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -268,36 +286,145 @@ def _binding_ok(state: LabeledGraph, rule: Rule, nodes: tuple[int, ...]) -> bool
     return True
 
 
+class _MatchIndex:
+    """Applicable bindings of every rule, kept current as one run rewrites.
+
+    Per rule it holds each applicable binding with its effect key, the
+    bindings grouped by effect key, and the listed bindings: the smallest
+    binding of each group, in (v, u) order, which is the order the full
+    scan meets them in.  `apply` rewrites the state and rechecks only the
+    bindings the rewrite can have changed (see the module docstring for why
+    no other verdict or key moves).  Rule names must be unique within the
+    rule list, as `replay` already requires.
+    """
+
+    def __init__(self, state: LabeledGraph, rules: Iterable[Rule]):
+        self.state = state
+        self.rules = list(rules)
+        self.position = {rule.name: r for r, rule in enumerate(self.rules)}
+        self.kinds: dict[str, list[int]] = {}
+        for v, lab in enumerate(state.labels):
+            self.kinds.setdefault(lab.kind, []).append(v)
+        self.effects: list[dict] = [{} for _ in self.rules]
+        self.groups: list[dict] = [{} for _ in self.rules]
+        self.listed: list[list[tuple[int, ...]]] = [[] for _ in self.rules]
+        self.by_node: list[dict[int, set]] = [{} for _ in self.rules]
+        for r, rule in enumerate(self.rules):
+            for v in self.kinds.get(rule.left, []):
+                for nodes in self._with_left(rule, v):
+                    self._recheck(r, nodes)
+
+    def _with_left(self, rule: Rule, v: int) -> list[tuple[int, ...]]:
+        """Candidate bindings of `rule` whose left node is v, in (v, u) order."""
+        if self.state.labels[v].kind != rule.left:
+            return []
+        if rule.right is None:
+            return [(v,)]
+        return [(v, u) for u in self.kinds.get(rule.right, []) if u != v]
+
+    def _with_right(self, rule: Rule, u: int) -> list[tuple[int, ...]]:
+        """Candidate bindings of `rule` whose right node is u, in (v, u) order."""
+        if rule.right is None or self.state.labels[u].kind != rule.right:
+            return []
+        return [(v, u) for v in self.kinds.get(rule.left, []) if v != u]
+
+    def _recheck(self, r: int, nodes: tuple[int, ...]) -> None:
+        rule, effects = self.rules[r], self.effects[r]
+        old = effects.get(nodes)
+        new = (_match_effect(self.state, rule, nodes)
+               if _binding_ok(self.state, rule, nodes) else None)
+        if new == old:
+            return
+        listed, group_of, by_node = self.listed[r], self.groups[r], self.by_node[r]
+        if old is not None:
+            del effects[nodes]
+            for v in nodes:
+                by_node[v].discard(nodes)
+            group = group_of[old]
+            i = bisect_left(group, nodes)
+            del group[i]
+            if i == 0:
+                del listed[bisect_left(listed, nodes)]
+                if group:
+                    insort(listed, group[0])
+                else:
+                    del group_of[old]
+        if new is not None:
+            effects[nodes] = new
+            for v in nodes:
+                by_node.setdefault(v, set()).add(nodes)
+            group = group_of.setdefault(new, [])
+            i = bisect_left(group, nodes)
+            group.insert(i, nodes)
+            if i == 0:
+                if len(group) > 1:
+                    del listed[bisect_left(listed, group[1])]
+                insort(listed, nodes)
+
+    def matches(self) -> list[Match]:
+        return [Match(rule, nodes) for rule, listed in zip(self.rules, self.listed)
+                for nodes in listed]
+
+    def draw(self, rng: np.random.Generator, prefer_phase: str | None) -> Match | None:
+        """One uniformly random listed match (of prefer_phase when it has one)."""
+        pool = range(len(self.rules))
+        if prefer_phase is not None:
+            preferred = [r for r in pool if self.rules[r].phase == prefer_phase]
+            if any(self.listed[r] for r in preferred):
+                pool = preferred
+        total = sum(len(self.listed[r]) for r in pool)
+        if total == 0:
+            return None
+        i = int(rng.integers(total))
+        for r in pool:
+            if i < len(self.listed[r]):
+                break
+            i -= len(self.listed[r])
+        return Match(self.rules[r], self.listed[r][i])
+
+    def apply(self, match: Match) -> None:
+        """Rewrite the state by a listed match and recheck what it can change."""
+        state = self.state
+        edge, relabels = self.effects[self.position[match.rule.name]][match.nodes]
+        before = [(v, state.labels[v]) for v, _ in relabels]
+        _apply_inplace(state, match)
+        changed = []
+        for v, old in before:
+            lab = state.labels[v]
+            if lab == old:
+                continue
+            changed.append(v)
+            if lab.kind != old.kind:
+                del self.kinds[old.kind][bisect_left(self.kinds[old.kind], v)]
+                insort(self.kinds.setdefault(lab.kind, []), v)
+        near = set(edge or ())
+        for v in changed:
+            near |= state.graph.neighbors(v)
+        for r, rule in enumerate(self.rules):
+            todo: set[tuple[int, ...]] = set()
+            for v in changed:
+                todo.update(self.by_node[r].get(v, ()))
+                todo.update(self._with_left(rule, v))
+                todo.update(self._with_right(rule, v))
+            if edge is not None and rule.connect:
+                todo.update(b for b in (edge, edge[::-1]) if b in self.effects[r])
+            if rule.forbid_near_left is not None:
+                for v in near:
+                    todo.update(self._with_left(rule, v))
+            for nodes in todo:
+                self._recheck(r, nodes)
+
+
 def applicable_matches(state: LabeledGraph, rules: Iterable[Rule]) -> list[Match]:
     """Every currently applicable, effective match in deterministic order.
 
     Edge-adding matches whose edge already exists are excluded.  Symmetric
     two-node rules would yield both orientations of the same edge; only the
-    first(equal-effect) binding is listed so random scheduling stays unbiased.
+    first binding of each effect is listed so random scheduling stays
+    unbiased.  Rules come in list order and each rule's bindings in (v, u)
+    order.
     """
-    by_kind: dict[str, list[int]] = {}
-    for v, lab in enumerate(state.labels):
-        by_kind.setdefault(lab.kind, []).append(v)
-    out: list[Match] = []
-    seen: set = set()
-    for rule in rules:
-        lefts = by_kind.get(rule.left, [])
-        if rule.right is None:
-            candidates = [(v,) for v in lefts]
-        else:
-            rights = by_kind.get(rule.right, [])
-            candidates = [
-                (v, u) for v in lefts for u in rights if u != v
-            ]
-        for nodes in candidates:
-            if not _binding_ok(state, rule, nodes):
-                continue
-            key = (rule.name, _match_effect(state, rule, nodes))
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(Match(rule, nodes))
-    return out
+    return _MatchIndex(state, rules).matches()
 
 
 def _apply_inplace(state: LabeledGraph, match: Match) -> None:
@@ -336,23 +463,20 @@ def run_to_fixpoint(
     prefer_phase biases scheduling: matches of that phase are taken whenever
     any is available (still uniformly among them).  The step budget guards
     against rule-encoding bugs; both grammars are monotone, so legitimate
-    runs stay well under it.
+    runs stay well under it.  `on_step` sees the live state after each step
+    and must treat it as read-only: the match index is kept in step with
+    the state only through the rewrites the run applies itself.
     """
     state = initial.copy()
     rng = np.random.default_rng(seed)
     budget = _step_budget(state.graph.n) if max_steps is None else max_steps
     trace: list[tuple[str, tuple[int, ...]]] = []
+    index = _MatchIndex(state, rules)
     while True:
-        matches = applicable_matches(state, rules)
-        if not matches:
+        match = index.draw(rng, prefer_phase)
+        if match is None:
             break
-        pool = matches
-        if prefer_phase is not None:
-            preferred = [m for m in matches if m.rule.phase == prefer_phase]
-            if preferred:
-                pool = preferred
-        match = pool[int(rng.integers(len(pool)))]
-        _apply_inplace(state, match)
+        index.apply(match)
         trace.append((match.rule.name, match.nodes))
         if on_step is not None:
             on_step(len(trace), state, match)

@@ -5,7 +5,8 @@ eigenvalues via a cyclic Jacobi iteration and via LDL^T inertia counts +
 bisection (vs. LAPACK's eigvalsh in the package), zero-forcing closure,
 traces and uniqueness via naive rescanning (vs. the heap-ordered worklist),
 addable edges by rerunning that rescan on every G + uv (vs. the edge bound
-and the resumed forcing record), and Kalman rank over Q via Fraction
+and the resumed forcing record), grammar matches by checking every binding
+of every rule (vs. the incremental match index), and Kalman rank over Q via Fraction
 elimination on the exact integer powers (vs. block Krylov elimination mod a
 prime).
 """
@@ -17,6 +18,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 
+from zfnets.grammar import LabeledGraph, Match, Rule, _binding_ok, _match_effect
 from zfnets.graph import Graph
 from zfnets.zero_forcing import ForcingTrace, forcing_candidates
 
@@ -215,6 +217,36 @@ def is_unique_rescan(g: Graph, black: set[int]) -> bool:
         if len(forced) > 1:
             return False
         black_set.add(next(iter(forced)))
+
+
+def applicable_matches_rescan(state: LabeledGraph, rules: list[Rule]) -> list[Match]:
+    """Listed matches by checking every left x right binding of every rule.
+
+    Rules in list order, bindings in (v, u) order, and only the first binding
+    of each (rule, effect) key, the documented order of
+    zfnets.grammar.applicable_matches.
+    """
+    by_kind: dict[str, list[int]] = {}
+    for v, lab in enumerate(state.labels):
+        by_kind.setdefault(lab.kind, []).append(v)
+    out: list[Match] = []
+    seen: set = set()
+    for rule in rules:
+        lefts = by_kind.get(rule.left, [])
+        if rule.right is None:
+            candidates = [(v,) for v in lefts]
+        else:
+            rights = by_kind.get(rule.right, [])
+            candidates = [(v, u) for v in lefts for u in rights if u != v]
+        for nodes in candidates:
+            if not _binding_ok(state, rule, nodes):
+                continue
+            key = (rule.name, _match_effect(state, rule, nodes))
+            if key in seen:
+                continue
+            seen.add(key)
+            out.append(Match(rule, nodes))
+    return out
 
 
 def kalman_rank_exact(m, b) -> int:

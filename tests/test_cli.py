@@ -220,6 +220,21 @@ def test_sweep_rejects_non_positive_leaders(tmp_path, capsys, leaders, smallest)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, nodes", [
+    (["--nodes", "12", "--leaders", "13-14"], "12"),
+    (["--families", "g1", "--nodes", "7", "--leaders", "2"], "7"),
+])
+def test_sweep_without_feasible_rows_writes_no_csv(tmp_path, capsys, argv, nodes):
+    out = tmp_path / "table.csv"
+    code = main(["sweep", *argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    notes = captured.out.splitlines()
+    assert notes and all(line.startswith("note: skip family=") for line in notes)
+    assert captured.err == f"error: no feasible family and leader count at --nodes {nodes}\n"
+    assert not out.exists()
+
+
 def test_grammar_run_matches_construction(tmp_path, capsys):
     out = tmp_path / "run"
     frames = tmp_path / "frames"

@@ -1,8 +1,14 @@
 """Distributed rewrite grammars: matching, scheduling, convergence targets."""
 from __future__ import annotations
 
+import hashlib
+import time
+
+import numpy as np
 import pytest
 
+from oracles import applicable_matches_rescan
+from zfnets import grammar
 from zfnets.constructions import build_g1_bar, build_g2_bar, expected_edges
 from zfnets.graph import LeaderSet
 from zfnets.grammar import (
@@ -14,8 +20,10 @@ from zfnets.grammar import (
     PI2,
     SEED,
     Label,
+    LabeledGraph,
     Match,
     NonConvergenceError,
+    Rule,
     Schedule,
     applicable_matches,
     grammar_r1,
@@ -26,6 +34,7 @@ from zfnets.grammar import (
     run_to_fixpoint,
     step,
 )
+from zfnets.graph import Graph
 from zfnets.zero_forcing import is_zfs
 
 
@@ -218,3 +227,144 @@ def test_state_equality_and_copy():
     assert cp == st
     cp.labels[1] = Label(LEADER, 1)
     assert cp != st
+
+
+def _listing(matches):
+    return [(m.rule.name, m.nodes) for m in matches]
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# Digests of Schedule.to_text() taken from the full-rescan engine that
+# preceded the incremental match index: every seed must keep its schedule.
+CRITERION_7_DIGESTS = [
+    (lambda: grammar_r1(3, 4), 12, "9e1b73bd88468342e9a8a657a1de11a4c1ed3887e10b39c6be17f8fbab771657"),
+    (lambda: grammar_r1(1, 12), 12, "0a7d8203c1a7ecd03bb83965934007241eb783a1ef016cf8b4b6a9d15489882b"),
+    (lambda: grammar_r1(2, 6), 12, "38d25726a20769764734874cdbc289ea4e229ea7c2d79938dc37bdcc5e821f1f"),
+    (lambda: grammar_r2(12, 3), 12, "a8a41a0d088fc70e877215d42106148777b81cb34865dbb1b70044e276f80a32"),
+    (lambda: grammar_r2(8, 2), 8, "d6b3603a0448f1c39d4a3c6f8a0278fdc677bafadfa7471d29b745cbbb73da7f"),
+]
+
+ASSEMBLE_DIGESTS = {
+    ("r1", 48): ["33075afb95eab051b7cb12f7cc85a4db6ca84c357585a62df7c7ad4bdfb8b104",
+                 "194ecbf48fc4b28169fce938b6ae23e984a205e10955ac521fb43fd2aa47c214",
+                 "156b2f901286753fbde9d225d059ae56ffb792abd9b41b6da2dc645a22d29fab",
+                 "ce6a30810d0699795cc52f321c88621bd45c03a5657bff13760326955e3fcab3"],
+    ("r1", 96): ["ecaf4cbaaae957de153bb064496f36b5e4456bc6535a9bea9e29d587bccebe63",
+                 "5b6688ccff5073fb19965d6459f66496c37d4725716a2435af9755807035db76",
+                 "b1930da35c05f7ced862cf3db4802591b22c158397728fc88ef12e4ffb82eb51",
+                 "261e66f76e89714bcacb31f1ab078d4be4bfd9f352c1692767ef30304b01c4f4"],
+    ("r2", 48): ["6bf1bf5945e7f9668d51dced3bec75779d28948ca7e5aba9ad5d234d2d36b823",
+                 "3b58a2f84bac4fd3f13ee88fef105c1f10cb1511881f63912f7672df3d9605db",
+                 "c56c5352472bae9401cd994065728f7f2f25a5e8376d2b356f15c9592455922c",
+                 "82bf9f76648164a78a77bac14753c8114d17fee55d1d8f4306029377d5221603"],
+    ("r2", 96): ["b7f86caaa4f52e7f53383f594d5aebe01b8dc7b3dcd1f3de139cf998e1d6d2be",
+                 "62341d2950e26192e62ea4e132636d699c0bbc792b748cfbb16707777daeaf26",
+                 "b3c52e368ac0acc55c258c65cf25da6ac165c81b22b8586855b753e3b1259056",
+                 "a102461513389a8dd6606395f2fc1570a2873637fd4140c4295d9a216a57d00a"],
+}
+
+
+@pytest.mark.parametrize("make_rules, n, digest", CRITERION_7_DIGESTS,
+                         ids=["r1-k3-d4", "r1-k1-d12", "r1-k2-d6", "r2-n12-k3", "r2-n8-k2"])
+def test_criterion_7_schedules_match_pinned_digests(make_rules, n, digest):
+    rules = make_rules()
+    joined = hashlib.sha256()
+    for seed in range(100):
+        _, schedule = run_to_fixpoint(initial_state(n), rules, seed=seed,
+                                      prefer_phase=PI2 if seed >= 80 else None)
+        joined.update(schedule.to_text().encode())
+    assert joined.hexdigest() == digest
+
+
+@pytest.mark.parametrize("name, n", sorted(ASSEMBLE_DIGESTS))
+def test_assemble_sized_schedules_match_pinned_digests(name, n):
+    rules = grammar_r1(4, n // 4) if name == "r1" else grammar_r2(n, 4)
+    for seed, digest in enumerate(ASSEMBLE_DIGESTS[name, n]):
+        _, schedule = run_to_fixpoint(initial_state(n), rules, seed=seed)
+        assert _sha(schedule.to_text()) == digest, seed
+
+
+def test_r1_at_240_nodes_keeps_its_schedule_and_runs_in_seconds():
+    start = time.perf_counter()
+    state, schedule = run_to_fixpoint(initial_state(240), grammar_r1(4, 60), seed=7)
+    elapsed = time.perf_counter() - start
+    assert label_isomorphic(state, build_g1_bar(240, 4, 60))
+    assert _sha(schedule.to_text()) == (
+        "177fc386277f28ce6ed0fe4ed8d611ee8321525430fcffc5ce0370493d0207d7"
+    )
+    assert elapsed < 10.0, f"r1 at n=240 took {elapsed:.1f} s"
+
+
+@pytest.mark.parametrize("make_rules, n", [
+    (lambda: grammar_r1(3, 4), 12),
+    (lambda: grammar_r1(4, 5), 20),
+    (lambda: grammar_r2(12, 3), 12),
+    (lambda: grammar_r2(20, 4), 20),
+    (lambda: grammar_r2(12, 3, r6_same_index_only=True), 12),
+], ids=["r1-n12", "r1-n20", "r2-n12", "r2-n20", "r2-narrow-n12"])
+@pytest.mark.parametrize("prefer", [None, PI1, PI2])
+def test_match_index_equals_rescan_on_every_step(monkeypatch, make_rules, n, prefer):
+    draw = grammar._MatchIndex.draw
+    calls = []
+
+    def checked_draw(index, rng, prefer_phase):
+        calls.append(1)
+        assert _listing(index.matches()) == _listing(
+            applicable_matches_rescan(index.state, index.rules))
+        return draw(index, rng, prefer_phase)
+
+    monkeypatch.setattr(grammar._MatchIndex, "draw", checked_draw)
+    rules = make_rules()
+    for seed in (0, 1):
+        calls.clear()
+        _, schedule = run_to_fixpoint(initial_state(n), rules, seed=seed, prefer_phase=prefer)
+        assert len(calls) == len(schedule.steps) + 1
+
+
+def _random_labeled_graph(rng, n: int) -> LabeledGraph:
+    labels = []
+    for _ in range(n):
+        kind, i, j = (ALPHA, LEADER, BETA, GAMMA)[int(rng.integers(4))], *rng.integers(1, 4, 2)
+        labels.append(Label(ALPHA) if kind == ALPHA else
+                      Label(LEADER, int(i)) if kind == LEADER else Label(kind, int(i), int(j)))
+    g = Graph(n)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.uniform() < 0.2:
+                g.add_edge(u, v)
+    return LabeledGraph(g, labels)
+
+
+# Rules whose effect keys collide across different bindings (relabel-only
+# rules key on the left node alone), a guard on the right label, and a
+# fire-once guard that reads the right label as well as the left's neighbours.
+COLLIDING_RULES = [
+    Rule("bump", PI1, BETA, ALPHA, guard=lambda a, b: a.i < 4,
+         relabel_left=lambda a, b: Label(BETA, a.i + 1)),
+    Rule("keep", PI1, LEADER, ALPHA, relabel_left=lambda a, b: a),
+    Rule("link", PI2, BETA, BETA, guard=lambda a, b: b.i >= a.i, connect=True,
+         relabel_right=lambda a, b: Label(GAMMA, b.i)),
+    Rule("reach", PI2, LEADER, BETA, connect=True,
+         forbid_near_left=lambda a, b: (Label(GAMMA, b.i), Label(GAMMA, a.i))),
+    Rule("pair", PI1, GAMMA, GAMMA, connect=True),
+    Rule("end", PI1, GAMMA, guard=lambda a, b: a.i == 2,
+         relabel_left=lambda a, b: Label(LEADER, 1)),
+]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_match_index_tracks_random_rewrites(seed):
+    rng = np.random.default_rng(seed)
+    rule_sets = (COLLIDING_RULES, grammar_r1(2, 6), grammar_r2(12, 2))
+    for rules in rule_sets:
+        state = _random_labeled_graph(rng, 12)
+        index = grammar._MatchIndex(state, rules)
+        for _ in range(40):
+            listed = index.matches()
+            assert _listing(listed) == _listing(applicable_matches_rescan(state, rules))
+            if not listed:
+                break
+            index.apply(listed[int(rng.integers(len(listed)))])
