@@ -127,12 +127,6 @@ class ConstructionSpec:
                     f"family g3bar requires 2 <= d <= n/n_leaders "
                     f"(got d={d}, n/n_leaders = {n}/{k})"
                 )
-            t = n - k * (self.d - 1)
-            if t < 2:
-                raise InfeasibleSpecError(
-                    f"family g3bar tail would have {t} < 2 nodes for "
-                    f"(n={n}, n_leaders={k}, d={d})"
-                )
 
     @classmethod
     def from_mapping(cls, data: dict[str, str]) -> "ConstructionSpec":

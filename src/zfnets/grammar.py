@@ -8,22 +8,29 @@ leader, full leader fan-out).  Rules are data: a pair of label patterns, an
 index guard, and an action (connect and/or relabel), so the rule tables are
 readable in one place and the engine stays generic.
 
-A run keeps a match index instead of rechecking every binding after every
-step.  It builds the index once with the full scan, then after each rewrite
-rechecks only the bindings the rewrite can have changed.  The locality
-argument: a binding's verdict (`_binding_ok`) reads only its nodes' labels,
-whether the bound pair is already an edge (connect rules), and the labels
-of the left node's neighbours (`forbid_near_left`); its effect key reads
-only its nodes and their labels.  A rewrite adds at most the edge ab and
-relabels at most a and b.  So a verdict or key can change only for
+Every rule is pairwise, as in the graph grammars of Klavins, Ghrist &
+Lipsky (IEEE TAC 51(6), 2006): it reads its two labels and whether they
+share an edge, never a neighbourhood.  `r2` starts leader i's follower
+chain only while the leader's j is None, and relabels it Label(LEADER, i,
+0).  That lists the same matches as a test for a neighbour with chain index
+(i, 1) would: leader i gets such a neighbour only from its own `r2`, and
+that neighbour keeps its edge to the leader while its label moves only
+between the two chain-start labels (GAMMA(i,1) -> BETA(i,1) in R1, BETA(1)
+-> GAMMA(1) in R2).  So on every state reachable from `initial_state` the
+two tests agree, and every seed keeps its schedule.
+
+A run keeps a match index: the full scan builds it once, and after each
+rewrite it rechecks only the bindings the rewrite can have changed.  A
+binding's verdict (`_binding_ok`) reads only its nodes' labels and, for a
+connect rule, whether the bound pair is an edge; its effect key reads only
+its nodes and their labels.  A rewrite adds at most the edge ab and
+relabels at most a and b, so a verdict or key can change only for
 - a binding that contains a relabelled node;
-- the binding (a, b) or (b, a) of a connect rule, whose edge now exists;
-- a binding of a `forbid_near_left` rule whose left node is a or b (it
-  gained a neighbour) or a neighbour of a relabelled node.
-Those are exactly the bindings the index rechecks, plus the candidates a
-relabelled node gains by changing kind.  Nothing else moves, so the index
-lists the same matches in the same order as a full scan, and a seed gives
-the same schedule whichever way the matches are found.
+- the binding (a, b) or (b, a) of a connect rule, whose edge now exists.
+The index rechecks exactly those, plus the candidates a relabelled node
+gains by changing kind.  So it lists the same matches in the same order as
+a full scan, and a seed gives the same schedule whichever way the matches
+are found.
 """
 from __future__ import annotations
 
@@ -55,7 +62,9 @@ class Label:
     """Node label: a kind plus up to two integer indices.
 
     ALPHA carries no indices, SEED/LEADER carry i, chain labels carry i and
-    (only in R1) a layer index j.
+    (only in R1) a layer index j.  A leader's j is None until it starts its
+    follower chain and 0 from then on, so the leader's own label records
+    that its chain has started.
     """
 
     kind: str
@@ -112,9 +121,8 @@ class Rule:
     Binds one node of kind `left` (and, if `right` is set, a second node of
     that kind); `guard` sees both labels.  The action adds the edge between
     the bound nodes (when `connect`) and applies the relabel functions.
-    `forbid_near_left` lists labels that must not already occur among the
-    left node's neighbors — the local fire-once guard for recruitment rules,
-    without which a leader could start arbitrarily many chains.
+    A rule sees only its pair: the two labels and whether they share an
+    edge, never a neighbourhood.
     """
 
     name: str
@@ -125,17 +133,12 @@ class Rule:
     connect: bool = False
     relabel_left: Relabel | None = None
     relabel_right: Relabel | None = None
-    forbid_near_left: Callable[[Label, Optional[Label]], tuple[Label, ...]] | None = None
 
 
 @dataclass(frozen=True)
 class Match:
     rule: Rule
     nodes: tuple[int, ...]
-
-    @property
-    def rule_id(self) -> str:
-        return self.rule.name
 
 
 @dataclass(frozen=True)
@@ -156,19 +159,16 @@ def initial_state(n: int, seed_node: int = 0) -> LabeledGraph:
     """Edgeless start state: every node alpha except one seed labeled S_1."""
     if n < 1:
         raise ValueError("need at least one node")
+    if not 0 <= seed_node < n:
+        raise ValueError(f"seed_node must be in 0..{n - 1}, got {seed_node}")
     labels = [Label(ALPHA)] * n
     labels[seed_node] = Label(SEED, 1)
     return LabeledGraph(Graph(n), labels)
 
 
-def grammar_r1(n_leaders: int, d: int) -> list[Rule]:
-    """Rule set producing the maximal layered family on n = n_leaders*d nodes."""
-    if n_leaders < 1:
-        raise ValueError(f"need n_leaders >= 1, got {n_leaders}")
-    if d < 2:
-        raise ValueError(f"need d >= 2, got {d}")
-    k, last = n_leaders, d - 1
-    return [
+def _leader_rules(k: int) -> tuple[Rule, Rule, Rule]:
+    """R1's and R2's r0, r1, r5: seeds recruit k leaders, who form a clique."""
+    return (
         Rule("r0", PI1, SEED, ALPHA,
              guard=lambda a, b: 1 <= a.i < k,
              connect=True,
@@ -177,10 +177,25 @@ def grammar_r1(n_leaders: int, d: int) -> list[Rule]:
         Rule("r1", PI1, SEED,
              guard=lambda a, b: a.i == k,
              relabel_left=lambda a, b: Label(LEADER, a.i)),
+        Rule("r5", PI1, LEADER, LEADER, connect=True),
+    )
+
+
+def grammar_r1(n_leaders: int, d: int) -> list[Rule]:
+    """Rule set producing the maximal layered family on n = n_leaders*d nodes."""
+    if n_leaders < 1:
+        raise ValueError(f"need n_leaders >= 1, got {n_leaders}")
+    if d < 2:
+        raise ValueError(f"need d >= 2, got {d}")
+    last = d - 1
+    r0, r1, r5 = _leader_rules(n_leaders)
+    return [
+        r0, r1,
         Rule("r2", PI1, LEADER, ALPHA,
+             guard=lambda a, b: a.j is None,
              connect=True,
-             relabel_right=lambda a, b: Label(GAMMA, a.i, 1),
-             forbid_near_left=lambda a, b: (Label(GAMMA, a.i, 1), Label(BETA, a.i, 1))),
+             relabel_left=lambda a, b: Label(LEADER, a.i, 0),
+             relabel_right=lambda a, b: Label(GAMMA, a.i, 1)),
         Rule("r3", PI1, GAMMA, ALPHA,
              guard=lambda a, b: 1 <= a.j < last,
              connect=True,
@@ -189,7 +204,7 @@ def grammar_r1(n_leaders: int, d: int) -> list[Rule]:
         Rule("r4", PI1, GAMMA,
              guard=lambda a, b: a.j == last,
              relabel_left=lambda a, b: Label(BETA, a.i, a.j)),
-        Rule("r5", PI1, LEADER, LEADER, connect=True),
+        r5,
         Rule("r6", PI2, LEADER, BETA,
              guard=lambda a, b: b.j == 1 and b.i <= a.i,
              connect=True),
@@ -213,25 +228,19 @@ def grammar_r2(n: int, n_leaders: int, r6_same_index_only: bool = False) -> list
         raise ValueError(f"need n_leaders >= 2, got {n_leaders}")
     if n <= n_leaders:
         raise ValueError(f"need n > n_leaders, got n={n}, n_leaders={n_leaders}")
-    k, nf = n_leaders, n - n_leaders
+    nf = n - n_leaders
     if r6_same_index_only:
         r6_guard: Guard = lambda a, b: a.i != 1 and b.i == a.i
     else:
         r6_guard = lambda a, b: a.i != 1
+    r0, r1, r5 = _leader_rules(n_leaders)
     return [
-        Rule("r0", PI1, SEED, ALPHA,
-             guard=lambda a, b: 1 <= a.i < k,
-             connect=True,
-             relabel_left=lambda a, b: Label(LEADER, a.i),
-             relabel_right=lambda a, b: Label(SEED, a.i + 1)),
-        Rule("r1", PI1, SEED,
-             guard=lambda a, b: a.i == k,
-             relabel_left=lambda a, b: Label(LEADER, a.i)),
+        r0, r1,
         Rule("r2", PI1, LEADER, ALPHA,
-             guard=lambda a, b: a.i == 1,
+             guard=lambda a, b: a.i == 1 and a.j is None,
              connect=True,
-             relabel_right=lambda a, b: Label(BETA, 1),
-             forbid_near_left=lambda a, b: (Label(BETA, 1), Label(GAMMA, 1))),
+             relabel_left=lambda a, b: Label(LEADER, a.i, 0),
+             relabel_right=lambda a, b: Label(BETA, 1)),
         Rule("r3", PI1, BETA, ALPHA,
              guard=lambda a, b: 1 <= a.i < nf,
              connect=True,
@@ -240,7 +249,7 @@ def grammar_r2(n: int, n_leaders: int, r6_same_index_only: bool = False) -> list
         Rule("r4", PI1, BETA,
              guard=lambda a, b: a.i == nf,
              relabel_left=lambda a, b: Label(GAMMA, a.i)),
-        Rule("r5", PI1, LEADER, LEADER, connect=True),
+        r5,
         Rule("r6", PI2, LEADER, GAMMA, guard=r6_guard, connect=True),
     ]
 
@@ -262,28 +271,12 @@ def _match_effect(state: LabeledGraph, rule: Rule, nodes: tuple[int, ...]):
 
 
 def _binding_ok(state: LabeledGraph, rule: Rule, nodes: tuple[int, ...]) -> bool:
+    """Whether `rule` applies to a binding of its arity with distinct nodes."""
     la = state.labels[nodes[0]]
-    if la.kind != rule.left:
+    lb = None if rule.right is None else state.labels[nodes[1]]
+    if la.kind != rule.left or (lb is not None and lb.kind != rule.right):
         return False
-    lb: Label | None = None
-    if rule.right is None:
-        if len(nodes) != 1:
-            return False
-    else:
-        if len(nodes) != 2 or nodes[0] == nodes[1]:
-            return False
-        lb = state.labels[nodes[1]]
-        if lb.kind != rule.right:
-            return False
-    if not rule.guard(la, lb):
-        return False
-    if rule.connect and state.graph.has_edge(nodes[0], nodes[1]):
-        return False
-    if rule.forbid_near_left is not None:
-        forbidden = rule.forbid_near_left(la, lb)
-        if any(state.labels[w] in forbidden for w in state.graph.neighbors(nodes[0])):
-            return False
-    return True
+    return rule.guard(la, lb) and not (rule.connect and state.graph.has_edge(*nodes))
 
 
 class _MatchIndex:
@@ -397,9 +390,6 @@ class _MatchIndex:
             if lab.kind != old.kind:
                 del self.kinds[old.kind][bisect_left(self.kinds[old.kind], v)]
                 insort(self.kinds.setdefault(lab.kind, []), v)
-        near = set(edge or ())
-        for v in changed:
-            near |= state.graph.neighbors(v)
         for r, rule in enumerate(self.rules):
             todo: set[tuple[int, ...]] = set()
             for v in changed:
@@ -408,9 +398,6 @@ class _MatchIndex:
                 todo.update(self._with_right(rule, v))
             if edge is not None and rule.connect:
                 todo.update(b for b in (edge, edge[::-1]) if b in self.effects[r])
-            if rule.forbid_near_left is not None:
-                for v in near:
-                    todo.update(self._with_left(rule, v))
             for nodes in todo:
                 self._recheck(r, nodes)
 
@@ -435,9 +422,15 @@ def _apply_inplace(state: LabeledGraph, match: Match) -> None:
         state.labels[v] = lab
 
 
+def _applicable(state: LabeledGraph, rule: Rule, nodes: tuple[int, ...]) -> bool:
+    """`_binding_ok` for a binding from outside the engine, whose shape and ids may be wrong."""
+    return (len(nodes) == (1 if rule.right is None else 2) == len(set(nodes))
+            and all(0 <= v < state.graph.n for v in nodes) and _binding_ok(state, rule, nodes))
+
+
 def step(state: LabeledGraph, match: Match) -> LabeledGraph:
     """Apply one match, returning the successor state; stale matches raise."""
-    if not _binding_ok(state, match.rule, match.nodes):
+    if not _applicable(state, match.rule, match.nodes):
         raise ValueError(
             f"stale or invalid binding: rule {match.rule.name} on nodes {match.nodes}"
         )
@@ -495,10 +488,9 @@ def replay(initial: LabeledGraph, rules: Iterable[Rule], schedule: Schedule) -> 
         rule = by_name.get(name)
         if rule is None:
             raise ValueError(f"step {idx}: unknown rule {name!r}")
-        match = Match(rule, nodes)
-        if not _binding_ok(state, rule, nodes):
+        if not _applicable(state, rule, nodes):
             raise ValueError(f"step {idx}: binding {nodes} for {name} is not applicable")
-        _apply_inplace(state, match)
+        _apply_inplace(state, Match(rule, nodes))
     return state
 
 

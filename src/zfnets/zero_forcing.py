@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterable
 
+from .constructions import expected_edges
 from .graph import Graph, LeaderSet
 
 
@@ -204,7 +205,7 @@ def _verify(
     n, k = g.n, len(leaders)
     if len(trace.derived) != n:
         return False, unique, None
-    if g.edge_count() == k * n - k * (k + 1) // 2:
+    if g.edge_count() == expected_edges(n, k):
         return True, unique, (True, [])
     steps = trace.steps
     turned = [-1] * n  # step at which each node turned black; -1 for leaders

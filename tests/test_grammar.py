@@ -329,7 +329,8 @@ def _random_labeled_graph(rng, n: int) -> LabeledGraph:
     for _ in range(n):
         kind, i, j = (ALPHA, LEADER, BETA, GAMMA)[int(rng.integers(4))], *rng.integers(1, 4, 2)
         labels.append(Label(ALPHA) if kind == ALPHA else
-                      Label(LEADER, int(i)) if kind == LEADER else Label(kind, int(i), int(j)))
+                      Label(LEADER, int(i), 0 if j == 1 else None) if kind == LEADER else
+                      Label(kind, int(i), int(j)))
     g = Graph(n)
     for u in range(n):
         for v in range(u + 1, n):
@@ -340,15 +341,16 @@ def _random_labeled_graph(rng, n: int) -> LabeledGraph:
 
 # Rules whose effect keys collide across different bindings (relabel-only
 # rules key on the left node alone), a guard on the right label, and a
-# fire-once guard that reads the right label as well as the left's neighbours.
+# fire-once guard on the left label, which the rule itself sets from the
+# right label.
 COLLIDING_RULES = [
     Rule("bump", PI1, BETA, ALPHA, guard=lambda a, b: a.i < 4,
          relabel_left=lambda a, b: Label(BETA, a.i + 1)),
     Rule("keep", PI1, LEADER, ALPHA, relabel_left=lambda a, b: a),
     Rule("link", PI2, BETA, BETA, guard=lambda a, b: b.i >= a.i, connect=True,
          relabel_right=lambda a, b: Label(GAMMA, b.i)),
-    Rule("reach", PI2, LEADER, BETA, connect=True,
-         forbid_near_left=lambda a, b: (Label(GAMMA, b.i), Label(GAMMA, a.i))),
+    Rule("reach", PI2, LEADER, BETA, guard=lambda a, b: a.j is None or a.j < b.i,
+         connect=True, relabel_left=lambda a, b: Label(LEADER, a.i, b.i)),
     Rule("pair", PI1, GAMMA, GAMMA, connect=True),
     Rule("end", PI1, GAMMA, guard=lambda a, b: a.i == 2,
          relabel_left=lambda a, b: Label(LEADER, 1)),
@@ -368,3 +370,79 @@ def test_match_index_tracks_random_rewrites(seed):
             if not listed:
                 break
             index.apply(listed[int(rng.integers(len(listed)))])
+
+
+# Labels a node outside a binding can carry in R1 and R2: every chain-start
+# label (GAMMA(i,1), BETA(i,1), BETA(1), GAMMA(1)) and started leaders too.
+OUTSIDE_LABELS = [
+    Label(ALPHA), Label(SEED, 1), Label(SEED, 2), Label(LEADER, 1), Label(LEADER, 2),
+    Label(LEADER, 1, 0), Label(LEADER, 2, 0), Label(GAMMA, 1, 1), Label(GAMMA, 2, 1),
+    Label(BETA, 1, 1), Label(BETA, 2, 1), Label(GAMMA, 1, 2), Label(BETA, 2, 2),
+    Label(BETA, 1), Label(GAMMA, 1), Label(BETA, 2), Label(GAMMA, 2),
+]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rules_read_only_their_bound_pair(seed):
+    # Relabelling any node w outside a binding, or joining w to a bound node,
+    # must leave the binding's verdict and effect as they were.
+    rng = np.random.default_rng(seed)
+    for rules in (grammar_r1(2, 6), grammar_r2(12, 2)):
+        state = _random_labeled_graph(rng, 10)
+        g, n = state.graph, state.graph.n
+        for rule in rules:
+            lefts = [v for v in range(n) if state.labels[v].kind == rule.left]
+            bindings = ([(v,) for v in lefts] if rule.right is None else
+                        [(v, u) for v in lefts for u in range(n)
+                         if u != v and state.labels[u].kind == rule.right])
+            for nodes in bindings:
+                seen = (grammar._binding_ok(state, rule, nodes),
+                        grammar._match_effect(state, rule, nodes))
+
+                def same() -> bool:
+                    return seen == (grammar._binding_ok(state, rule, nodes),
+                                    grammar._match_effect(state, rule, nodes))
+
+                for w in set(range(n)) - set(nodes):
+                    own = state.labels[w]
+                    for lab in OUTSIDE_LABELS:
+                        state.labels[w] = lab
+                        assert same(), (rule.name, nodes, w, lab)
+                        for b in nodes:
+                            if not g.has_edge(w, b):
+                                g.add_edge(w, b)
+                                assert same(), (rule.name, nodes, w, lab, b)
+                                g.remove_edge(w, b)
+                    state.labels[w] = own
+
+
+def test_started_leaders_read_l_i_0():
+    assert str(Label(LEADER, 2, 0)) == "L2,0"
+    # every R1 leader starts a chain; in R2 only leader 1 does
+    for rules, started in ((grammar_r1(3, 4), ["L1,0", "L2,0", "L3,0"]),
+                           (grammar_r2(12, 3), ["L1,0", "L2", "L3"])):
+        final, _ = run_to_fixpoint(initial_state(12), rules, seed=5)
+        assert sorted(str(lab) for lab in final.labels if lab.kind == LEADER) == started
+
+
+def test_step_and_replay_reject_node_ids_outside_the_graph():
+    rules = grammar_r1(1, 4)
+    st = initial_state(4, seed_node=3)
+    with pytest.raises(ValueError, match="step 1"):
+        replay(st, rules, Schedule(0, (("r1", (-1,)),)))
+    with pytest.raises(ValueError, match="stale or invalid"):
+        step(st, Match(rules[1], (-1,)))
+    for nodes in ((4,), (), (3, 3)):
+        with pytest.raises(ValueError, match="stale or invalid"):
+            step(st, Match(rules[1], nodes))
+    r0 = initial_state(4)
+    for nodes in ((0, 9), (0, -4), (0,), (0, 0), (0, 1, 2), ()):
+        with pytest.raises(ValueError, match="step 1"):
+            replay(r0, grammar_r1(2, 2), Schedule(0, (("r0", nodes),)))
+    assert replay(st, rules, Schedule(0, (("r1", (3,)),))).labels[3] == Label(LEADER, 1)
+
+
+@pytest.mark.parametrize("seed_node", [4, -1, 100])
+def test_initial_state_rejects_seed_outside_the_graph(seed_node):
+    with pytest.raises(ValueError, match="seed_node"):
+        initial_state(4, seed_node=seed_node)
