@@ -279,6 +279,15 @@ def _binding_ok(state: LabeledGraph, rule: Rule, nodes: tuple[int, ...]) -> bool
     return rule.guard(la, lb) and not (rule.connect and state.graph.has_edge(*nodes))
 
 
+def _positions(rules: list[Rule]) -> dict[str, int]:
+    """Index of each rule by name; a name used twice raises ValueError."""
+    position: dict[str, int] = {}
+    for r, rule in enumerate(rules):
+        if position.setdefault(rule.name, r) != r:
+            raise ValueError(f"duplicate rule name {rule.name!r}")
+    return position
+
+
 class _MatchIndex:
     """Applicable bindings of every rule, kept current as one run rewrites.
 
@@ -288,13 +297,13 @@ class _MatchIndex:
     scan meets them in.  `apply` rewrites the state and rechecks only the
     bindings the rewrite can have changed (see the module docstring for why
     no other verdict or key moves).  Rule names must be unique within the
-    rule list, as `replay` already requires.
+    rule list; `_positions` checks that here and in `replay`.
     """
 
     def __init__(self, state: LabeledGraph, rules: Iterable[Rule]):
         self.state = state
         self.rules = list(rules)
-        self.position = {rule.name: r for r, rule in enumerate(self.rules)}
+        self.position = _positions(self.rules)
         self.kinds: dict[str, list[int]] = {}
         for v, lab in enumerate(state.labels):
             self.kinds.setdefault(lab.kind, []).append(v)
@@ -482,7 +491,8 @@ def run_to_fixpoint(
 
 def replay(initial: LabeledGraph, rules: Iterable[Rule], schedule: Schedule) -> LabeledGraph:
     """Re-run a recorded schedule; returns the (identical) final state."""
-    by_name = {r.name: r for r in rules}
+    rules = list(rules)
+    by_name = {name: rules[r] for name, r in _positions(rules).items()}
     state = initial.copy()
     for idx, (name, nodes) in enumerate(schedule.steps, start=1):
         rule = by_name.get(name)

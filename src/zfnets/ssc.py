@@ -18,6 +18,17 @@ leaders "uncontrollable" is exact over GF(PRIME).  The weights are uniform
 there, so if some realization of the pattern is controllable over GF(PRIME),
 a trial is falsely uncontrollable over Q with probability at most
 n(n-1)/(PRIME-1), the degree bound of a Kalman minor (Schwartz, J. ACM 1980).
+
+The rank is exact in float64 BLAS (Dumas, Giorgi & Pernet, ACM TOMS 35(3),
+2008).  Residues r have |r| <= 2**24 - 16, so 32 products plus a residue stay
+below 2**53 - 2**24: every partial sum is an exact integer, in any order, with
+or without FMA.  Longer products split a factor into lo + 4096 hi, |lo| <=
+2**11 and |hi| <= 2**12, and each half sums to below 2**13 * 2**36 = 2**49 for
+n <= MAX_N.  _reduce maps an integer |x| <= 2**53 - 2**24 to r = x - PRIME *
+rint(x * fl(1/PRIME)): the quotient is off by under 2**-23, so |r| <= (PRIME -
+1)/2 + 4 = 2**24 - 16, x - r is exact, and r == 0 exactly when PRIME divides x.
+Trials run in lock-step batches (one pivot step for all, see _ranks) of at
+most _BATCH_ELEMENTS operator entries, a fixed working-set budget.
 """
 from __future__ import annotations
 
@@ -30,8 +41,8 @@ from .graph import Graph, LeaderSet
 PRIME = 33_554_393  # largest prime below 2**25
 # [-MAX_WEIGHT, MAX_WEIGHT] holds every residue mod PRIME exactly once.
 MAX_WEIGHT = (PRIME - 1) // 2
-# Largest n with n * PRIME**2 < 2**63: a dot product of n residues fits int64.
-MAX_N = (2**63 - 1) // PRIME**2
+MAX_N = 2**13  # the split products are exact up to here
+_BATCH_ELEMENTS = 2**17
 
 
 def _check_size(n: int) -> None:
@@ -48,64 +59,92 @@ class SystemRealization:
     seed: int
 
 
+def _draw(m: np.ndarray, seed: int, u: np.ndarray, v: np.ndarray) -> None:
+    """Edge weights in +/-[1, MAX_WEIGHT] into m[u, v] and m[v, u], diagonal in [-W, W]."""
+    rng = np.random.default_rng(seed)
+    w = rng.integers(-MAX_WEIGHT, MAX_WEIGHT, size=u.size)
+    w[w >= 0] += 1  # [-W, W) -> +/-[1, W]
+    m[u, v] = m[v, u] = w
+    np.fill_diagonal(m, rng.integers(-MAX_WEIGHT, MAX_WEIGHT + 1, size=len(m)))
+
+
 def sample_realization(g: Graph, leaders: LeaderSet, seed: int) -> SystemRealization:
     """Sample int64 M with edge weights in +/-[1, MAX_WEIGHT], diagonal in
     [-MAX_WEIGHT, MAX_WEIGHT], and B with a single 1 per leader column."""
     leaders.validate_for(g)
-    n = g.n
-    _check_size(n)
-    rng = np.random.default_rng(seed)
-    u, v = np.array(g.edges(), dtype=np.int64).reshape(-1, 2).T
-    w = rng.integers(-MAX_WEIGHT, MAX_WEIGHT, size=u.size)
-    w[w >= 0] += 1  # [-W, W) -> +/-[1, W]
-    m = np.zeros((n, n), dtype=np.int64)
-    m[u, v] = w
-    m[v, u] = w
-    np.fill_diagonal(m, rng.integers(-MAX_WEIGHT, MAX_WEIGHT + 1, size=n))
-    b = np.zeros((n, len(leaders)), dtype=np.int64)
-    b[list(leaders), np.arange(len(leaders))] = 1
+    _check_size(g.n)
+    m = np.zeros((g.n, g.n), dtype=np.int64)
+    _draw(m, seed, *np.array(g.edges(), dtype=np.intp).reshape(-1, 2).T)
+    b = (np.arange(g.n)[:, None] == np.array(leaders.ids)).astype(np.int64)
     return SystemRealization(m, b, seed)
 
 
-def controllability_report(r: SystemRealization) -> tuple[int, str]:
-    """(rank mod PRIME, "controllable" iff rank == n else "uncontrollable").
+def _reduce(x: np.ndarray) -> np.ndarray:
+    """x - PRIME * rint(x / PRIME), in place."""
+    q = x * (1.0 / PRIME)
+    return np.subtract(x, np.multiply(np.rint(q, out=q), PRIME, out=q), out=x)
 
-    Block Krylov elimination on row vectors: basis rows stay fully reduced
-    (1 at their pivot, 0 at every other pivot), so one int64 matmul reduces a
-    new block against all of them.  Only the vectors the last block added are
-    multiplied by M; it stops at rank n or when a block adds nothing.
+
+def _submul(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """c - a @ b mod PRIME, in place on c, for stacks of residues."""
+    if a.shape[-1] > 32:  # split a into 12-bit halves
+        hi = np.rint(a * (1.0 / 4096))
+        c -= 4096 * _reduce(hi @ b)
+        a = a - 4096 * hi
+    return _reduce(np.subtract(c, a @ b, out=c))
+
+
+def _ranks(mt: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Rank mod PRIME of [B, MB, ..., M^(n-1)B] for each trial of a batch.
+
+    Block Krylov elimination on the rows of mt[t] = M^T and block[t] = B^T.
+    With E the fully reduced basis on its pivot rows, y (I - E) is y reduced,
+    so a trial keeps A = M^T (I - E): its next block X A comes out reduced,
+    and new rows X with pivots C make A - A[:, C] X, 0 on the pivot columns,
+    which are dropped.  A trial stops at rank n or when a block adds nothing.
     """
-    m, b = r.m_matrix, r.b_matrix
-    n = m.shape[0]
+    trials, width, n = block.shape
+    ranks = np.zeros(trials, dtype=np.intp)
+    ids, rows = np.arange(trials if n and width else 0), np.arange(width)
+    rank, a, block = ranks[ids], _reduce(mt[ids] * 1.0), _reduce(block[ids] * 1.0)
+    while ids.size:
+        at, cols = np.arange(ids.size), np.empty((ids.size, width), dtype=np.intp)
+        for i in rows:  # fraction-free Gauss-Jordan
+            row = block[:, i]
+            cols[:, i] = col = (row != 0).argmax(1)
+            f = block[at, :, col]
+            head = np.where(f[:, i], f[:, i], 1)[:, None, None]
+            f[:, i] = 0
+            _reduce(np.subtract(block * head, f[:, :, None] * row[:, None, :], out=block))
+        heads = block[at[:, None], rows, cols]
+        block *= np.reshape([pow(int(h), -1, PRIME) if h else 0 for h in heads.flat], (-1, width, 1))
+        _reduce(block)
+        found = heads != 0
+        rank += found.sum(1)
+        _submul(a, a[at[:, None, None], np.arange(a.shape[1])[:, None], cols[:, None, :]], block)
+        keep = found.any(1) & (rank < n)
+        if not keep.all():
+            ranks[ids] = rank
+            ids, a, block, rank, cols = (x[keep] for x in (ids, a, block, rank, cols))
+        block = _submul(np.zeros(block.shape), block, a)  # -X A spans the same
+        if found.all() and a.size > 2**12:  # cut the new pivots off A once it is large
+            at, dest = np.arange(ids.size)[:, None], np.sort(cols, axis=1)
+            tail = block.shape[2] - width + rows
+            source = tail[np.argsort((cols[:, :, None] == tail).any(1), axis=1, kind="stable")]
+            a[at, :, dest] = a[at, :, source]
+            a[at, dest] = a[at, source]
+            block[at, :, dest] = block[at, :, source]
+            a, block = a[:, :tail[0], :tail[0]].copy(), block[:, :, :tail[0]]
+    return ranks
+
+
+def controllability_report(r: SystemRealization) -> tuple[int, str]:
+    """(rank mod PRIME, "controllable" iff rank == n else "uncontrollable")."""
+    m, b, n = r.m_matrix, r.b_matrix, len(r.m_matrix)
     _check_size(n)
     if m.dtype.kind not in "iu" or b.dtype.kind not in "iu":
         raise ValueError("a realization must hold integer matrices")
-    m_t = m.T.astype(np.int64) % PRIME
-    basis = np.zeros((0, n), dtype=np.int64)
-    pivots: list[int] = []
-    block = b.T.astype(np.int64) % PRIME
-    while len(block) and len(pivots) < n:
-        if pivots:
-            block = (block - block[:, pivots] @ basis) % PRIME
-        added, new_pivots = [], []
-        for i in range(len(block)):  # Gauss-Jordan on what the basis missed
-            nonzero = np.flatnonzero(block[i])
-            if not nonzero.size:
-                continue
-            p = int(nonzero[0])
-            block[i] = block[i] * pow(int(block[i, p]), -1, PRIME) % PRIME
-            col = block[:, p].copy()
-            col[i] = 0
-            block = (block - np.outer(col, block[i])) % PRIME
-            added.append(i)
-            new_pivots.append(p)
-        if not added:
-            break
-        block = block[added]
-        basis = np.vstack([(basis - basis[:, new_pivots] @ block) % PRIME, block])
-        pivots += new_pivots
-        block = block @ m_t % PRIME
-    rank = len(pivots)
+    rank = int(_ranks(*(x.T[None].astype(np.int64) % PRIME for x in (m, b)))[0])
     return rank, "controllable" if rank == n else "uncontrollable"
 
 
@@ -161,18 +200,20 @@ def randomized_ssc_check(
     if trials < 1:
         raise ValueError("need at least one trial")
     leaders.validate_for(g)
-    seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=trials)
-    records = []
-    for t, trial_seed in enumerate(seeds.tolist()):
-        rank, verdict = controllability_report(sample_realization(g, leaders, trial_seed))
-        records.append(TrialRecord(t, trial_seed, rank, verdict))
-    passed = sum(rec.verdict == "controllable" for rec in records)
-    return SSCReport(
-        n=g.n,
-        n_leaders=len(leaders),
-        trials=trials,
-        pass_count=passed,
-        fail_count=trials - passed,
-        indeterminate_count=0,
-        records=tuple(records),
-    )
+    _check_size(g.n)
+    n, (u, v) = g.n, np.array(g.edges(), dtype=np.intp).reshape(-1, 2).T
+    seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=trials).tolist()
+    batch = min(trials, max(1, _BATCH_ELEMENTS // max(1, n * n)))
+    mt = np.zeros((batch, n, n))
+    bt = np.broadcast_to(np.arange(n) == np.array(leaders.ids)[:, None], (batch, len(leaders), n))
+    ranks: list[int] = []
+    for start in range(0, trials, batch):
+        chunk = seeds[start:start + batch]
+        for t, trial_seed in enumerate(chunk):
+            _draw(mt[t], trial_seed, u, v)  # M is symmetric: this is M^T
+        ranks += _ranks(mt[:len(chunk)], bt[:len(chunk)]).tolist()
+    records = tuple(TrialRecord(t, s, r, "controllable" if r == n else "uncontrollable")
+                    for t, (s, r) in enumerate(zip(seeds, ranks)))
+    passed = ranks.count(n)
+    return SSCReport(n=n, n_leaders=len(leaders), trials=trials, pass_count=passed,
+                     fail_count=trials - passed, indeterminate_count=0, records=records)

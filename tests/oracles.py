@@ -7,8 +7,9 @@ traces and uniqueness via naive rescanning (vs. the heap-ordered worklist),
 addable edges by rerunning that rescan on every G + uv (vs. the edge bound
 and the resumed forcing record), grammar matches by checking every binding
 of every rule (vs. the incremental match index), and Kalman rank over Q via Fraction
-elimination on the exact integer powers (vs. block Krylov elimination mod a
-prime).
+elimination on the exact integer powers and mod a prime via Python-int
+elimination of the explicit Kalman matrix (vs. lock-step block Krylov
+elimination in float64 BLAS).
 """
 from __future__ import annotations
 
@@ -272,5 +273,34 @@ def kalman_rank_exact(m, b) -> int:
         for r in range(rank + 1, n):
             factor = rows[r][col] / rows[rank][col]
             rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def kalman_rank_mod_p(m, b, p: int) -> int:
+    """Rank mod p of [B, MB, ..., M^(n-1)B] for integer M and B.
+
+    Builds every power with Python integers reduced mod p, then runs plain
+    Gaussian elimination on the rows of the explicit Kalman matrix, so no
+    float and no Krylov shortcut is involved.
+    """
+    n = len(m)
+    m = [[int(x) % p for x in row] for row in m]
+    block = [[int(x) % p for x in col] for col in np.asarray(b).T]
+    columns = []
+    for _ in range(n):
+        columns.extend(block)
+        block = [[sum(m[i][j] * c[j] for j in range(n)) % p for i in range(n)] for c in block]
+    rows = [[c[i] for c in columns] for i in range(n)]
+    rank = 0
+    for col in range(len(columns)):
+        pivot = next((r for r in range(rank, n) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        for r in range(rank + 1, n):
+            factor = rows[r][col] * inv % p
+            rows[r] = [(x - factor * y) % p for x, y in zip(rows[r], rows[rank])]
         rank += 1
     return rank

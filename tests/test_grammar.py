@@ -185,6 +185,17 @@ def test_replay_rejects_tampered_schedules():
         replay(initial_state(8), rules, Schedule(0, (("r99", (0, 1)),)))
 
 
+def test_duplicate_rule_names_are_rejected():
+    rules = grammar_r1(2, 3) + [Rule("r0", PI1, LEADER, LEADER, connect=True)]
+    with pytest.raises(ValueError, match="duplicate rule name 'r0'"):
+        run_to_fixpoint(initial_state(6), rules, seed=0)
+    with pytest.raises(ValueError, match="duplicate rule name 'r0'"):
+        applicable_matches(initial_state(6), rules)
+    _, schedule = run_to_fixpoint(initial_state(6), grammar_r1(2, 3), seed=0)
+    with pytest.raises(ValueError, match="duplicate rule name 'r0'"):
+        replay(initial_state(6), rules, schedule)
+
+
 def test_label_isomorphic_rejects_unconverged_states():
     with pytest.raises(NonConvergenceError, match="alpha"):
         label_isomorphic(initial_state(4), build_g2_bar(4, 2))

@@ -1,19 +1,34 @@
 """Randomized structural controllability checks against an exact rank oracle."""
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_connected_graph
-from oracles import kalman_rank_exact
-from zfnets.constructions import FAMILIES, ConstructionSpec, build, build_g1_bar, build_g2_bar, default_d
+from oracles import kalman_rank_exact, kalman_rank_mod_p
+from zfnets.constructions import (
+    FAMILIES,
+    ConstructionSpec,
+    build,
+    build_g1_bar,
+    build_g2_bar,
+    build_g3_bar,
+    default_d,
+)
 from zfnets.graph import Graph, LeaderSet, complete_graph, path_graph
 from zfnets.ssc import (
+    _BATCH_ELEMENTS,
     MAX_N,
     MAX_WEIGHT,
+    PRIME,
     SSCReport,
+    _ranks,
+    _reduce,
+    _submul,
     SystemRealization,
     controllability_report,
     is_controllable_pair,
@@ -173,3 +188,156 @@ def test_size_and_dtype_limits():
     floats = SystemRealization(np.eye(2), np.ones((2, 1)), seed=0)
     with pytest.raises(ValueError, match="integer"):
         controllability_report(floats)
+
+
+def _batch(realizations):
+    """Kernel input for a batch: every M^T and B^T as residues mod PRIME."""
+    return (np.stack([r.m_matrix.T % PRIME for r in realizations]),
+            np.stack([r.b_matrix.T % PRIME for r in realizations]))
+
+
+def _two_components(rng, n, width):
+    """A connected graph on the first half plus a path on the rest, with
+    every leader in the first half."""
+    half = n // 2
+    edges = random_connected_graph(rng, half, extra_edges=int(rng.integers(0, 3))).edges()
+    edges += [(v, v + 1) for v in range(half, n - 1)]
+    leaders = rng.choice(half, size=width, replace=False).tolist()
+    return Graph(n, edges), LeaderSet(tuple(leaders))
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(4, 8), st.integers(1, 2))
+@settings(max_examples=40, deadline=None)
+def test_ragged_batch_ranks_match_exact_rank_and_batch_of_one(seed, n, width):
+    # trials of one batch reach different ranks and drop out at different blocks
+    rng = np.random.default_rng(seed)
+    batch = []
+    for kind in rng.integers(0, 3, size=6).tolist():
+        if kind == 0:  # small weights on a general M often lose rank
+            m = rng.integers(-2, 3, size=(n, n))
+            b = rng.integers(-1, 2, size=(n, width))
+            batch.append(SystemRealization(m, b, seed))
+        elif kind == 1:
+            batch.append(sample_realization(*_two_components(rng, n, width), int(rng.integers(2**31))))
+        else:  # inputs that reach nothing
+            m = rng.integers(-MAX_WEIGHT, MAX_WEIGHT + 1, size=(n, n))
+            batch.append(SystemRealization(m, np.zeros((n, width), dtype=np.int64), seed))
+    ranks = _ranks(*_batch(batch))
+    for real, rank in zip(batch, ranks.tolist()):
+        assert rank == kalman_rank_exact(real.m_matrix, real.b_matrix)
+        assert rank == controllability_report(real)[0]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_ragged_batch_ranks_where_pivot_columns_are_dropped(seed):
+    # at n=40 the batch's operators are large enough to lose their pivot columns
+    rng = np.random.default_rng(seed)
+    n, width, batch = 40, 2, []
+    for kind in (0, 1, 2, 1, 0, 1):
+        if kind == 0:
+            m = rng.integers(-2, 3, size=(n, n)) * (rng.random((n, n)) < 0.05)
+            batch.append(SystemRealization(m, rng.integers(-1, 2, size=(n, width)), seed))
+        elif kind == 1:
+            batch.append(sample_realization(*_two_components(rng, n, width), int(rng.integers(2**31))))
+        else:
+            batch.append(SystemRealization(np.eye(n, dtype=np.int64), np.zeros((n, width), dtype=np.int64), 0))
+    ranks = _ranks(*_batch(batch)).tolist()
+    assert len(set(ranks)) > 1
+    for real, rank in zip(batch, ranks):
+        assert rank == kalman_rank_mod_p(real.m_matrix, real.b_matrix, PRIME)
+        assert rank == controllability_report(real)[0]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_extreme_weights_match_python_int_elimination(seed):
+    # every entry at +/-MAX_WEIGHT: the largest products the kernel meets
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 13))
+    batch = []
+    for _ in range(4):
+        sign = rng.choice([-1, 1], size=(n, n))
+        symmetric = np.triu(sign) + np.triu(sign, 1).T
+        pattern = rng.random((n, n)) < 0.6
+        pattern = pattern | pattern.T | np.eye(n, dtype=bool)
+        m = MAX_WEIGHT * symmetric * pattern if rng.random() < 0.5 else MAX_WEIGHT * sign
+        b = MAX_WEIGHT * rng.choice([-1, 0, 1], size=(n, 2))
+        batch.append(SystemRealization(m.astype(np.int64), b.astype(np.int64), seed))
+    ranks = _ranks(*_batch(batch)).tolist()
+    for real, rank in zip(batch, ranks):
+        expected = kalman_rank_mod_p(real.m_matrix, real.b_matrix, PRIME)
+        assert rank == expected
+        assert controllability_report(real) == (
+            expected, "controllable" if expected == n else "uncontrollable")
+
+
+def test_empty_system_and_inputless_b():
+    empty = SystemRealization(np.zeros((0, 0), dtype=np.int64), np.zeros((0, 2), dtype=np.int64), 0)
+    assert controllability_report(empty) == (0, "controllable")
+    inputless = SystemRealization(np.eye(3, dtype=np.int64), np.zeros((3, 0), dtype=np.int64), 0)
+    assert controllability_report(inputless) == (0, "uncontrollable")
+    assert not is_controllable_pair(inputless)
+
+
+def test_records_replay_through_a_batch_of_one_across_batches():
+    net = build_g1_bar(60, 4, 15)
+    trials = 40
+    assert trials > _BATCH_ELEMENTS // net.graph.n**2  # the trials span two batches
+    report = randomized_ssc_check(net.graph, net.leaders, trials=trials, seed=9)
+    for rec in report.records:
+        replayed = controllability_report(sample_realization(net.graph, net.leaders, rec.seed))
+        assert replayed == (rec.rank, rec.verdict)
+
+
+def test_reduce_is_exact_on_its_whole_domain():
+    top = 2**53 - 2**24
+    q = 2**53 // PRIME - 1  # x / PRIME just below a half-integer near the top
+    xs = [top, -top, 0, PRIME, -PRIME, q * PRIME + MAX_WEIGHT, -(q * PRIME + MAX_WEIGHT),
+          q * PRIME + MAX_WEIGHT + 1, 2**52 + 12345, 2**48 - 1, MAX_WEIGHT, -MAX_WEIGHT]
+    r = _reduce(np.array(xs, dtype=float))
+    assert np.abs(r).max() <= 2**24 - 16
+    assert [int(v) % PRIME for v in r] == [x % PRIME for x in xs]
+    assert [v == 0 for v in r] == [x % PRIME == 0 for x in xs]
+
+
+@pytest.mark.parametrize("inner", [32, 33, MAX_N])
+def test_products_are_exact_at_the_extremes(inner):
+    # 32 products are summed as they are, longer ones split a factor
+    rng = np.random.default_rng(inner)
+    a = rng.choice([-MAX_WEIGHT, MAX_WEIGHT], size=(2, 3, inner))
+    b = rng.choice([-MAX_WEIGHT, MAX_WEIGHT], size=(2, inner, 4))
+    c = rng.choice([-MAX_WEIGHT, MAX_WEIGHT], size=(2, 3, 4))
+    a[0], b[0], c[0] = MAX_WEIGHT - 1, MAX_WEIGHT - 1, -MAX_WEIGHT  # the largest odd sum
+    got = _submul(c.astype(float), a.astype(float), b.astype(float))
+    exact = c.astype(object) - np.matmul(a.astype(object), b.astype(object))
+    assert np.abs(got).max() <= 2**24 - 16
+    assert (got.astype(np.int64) % PRIME == (exact % PRIME).astype(np.int64)).all()
+
+
+def _disconnected_40():
+    first = build_g1_bar(20, 2, 10).graph.edges()
+    cycle = [(20 + i, 20 + (i + 1) % 20) for i in range(20)]
+    return Graph(40, first + cycle + [(20, 30)]), LeaderSet((0, 1))
+
+
+# sha256 of randomized_ssc_check(...).to_csv(), taken from the int64 oracle
+# that preceded the float64 kernel; g1bar240 is what `zfnets oracle --out` writes.
+PINNED_CSV = [
+    ("g1bar240", lambda: (build_g1_bar(240, 4, 60).graph, LeaderSet((0, 1, 2, 3))), 20, 3,
+     "1be795227b548d03271d2c0dea8e99ed5230b24c6ebab6f412a445f11d5e05c1"),
+    ("g2bar120", lambda: (build_g2_bar(120, 4).graph, LeaderSet((0, 1, 2, 3))), 20, 5,
+     "5ae0e44aa2ac017d780a5b3376ae22e74b30eac19961b69161dc5646399b4fa4"),
+    ("g3bar60", lambda: (build_g3_bar(60, 4, default_d("g3bar", 60, 4)).graph, LeaderSet((0, 1, 2, 3))),
+     20, 7, "2b12de465638fd30627de41fc9f61e37c7c085c905d8819f20503483f798e258"),
+    ("disconnected40", _disconnected_40, 200, 11,
+     "abba2735f56f5a0a3e07fc731784f42a2b082c21ab613ca3da9ee065d814d3a7"),
+]
+
+
+@pytest.mark.parametrize("name, make, trials, seed, digest", PINNED_CSV, ids=[c[0] for c in PINNED_CSV])
+def test_report_csv_matches_pinned_digest(name, make, trials, seed, digest):
+    g, leaders = make()
+    report = randomized_ssc_check(g, leaders, trials=trials, seed=seed)
+    if name == "disconnected40":
+        assert trials > _BATCH_ELEMENTS // g.n**2  # several batches
+        assert report.fail_count == trials and {rec.rank for rec in report.records} == {20}
+    assert hashlib.sha256(report.to_csv().encode()).hexdigest() == digest
