@@ -15,7 +15,6 @@ from pathlib import Path
 from . import constructions as cons
 from . import grammar as gram
 from . import robustness as rob
-from . import ssc
 from .graph import (
     Graph,
     GraphDisconnectedError,
@@ -34,19 +33,8 @@ EXIT_NONCONVERGENCE = 4
 OUT_DIR_ENV = "ZFNETS_OUT_DIR"
 
 
-def _out_dir() -> Path:
-    d = Path(os.environ.get(OUT_DIR_ENV, "."))
-    d.mkdir(parents=True, exist_ok=True)
-    return d
-
-
 def _resolve_out(arg: str | None, default_name: str) -> Path:
-    if arg:
-        path = Path(arg)
-        if path.parent != Path("."):
-            path.parent.mkdir(parents=True, exist_ok=True)
-        return path
-    return _out_dir() / default_name
+    return Path(arg) if arg else Path(os.environ.get(OUT_DIR_ENV, ".")) / default_name
 
 
 def _read_graph(path: str, n: int | None = None) -> Graph:
@@ -81,6 +69,7 @@ def _parse_int_values(text: str) -> list[int]:
 
 
 def _write(path: Path, text: str) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
     print(f"wrote {path}")
 
@@ -214,6 +203,8 @@ def cmd_grammar(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    from . import ssc
+
     g = _read_graph(args.graph, n=args.nodes)
     leaders = LeaderSet(_parse_id_list(args.leaders))
     report = ssc.randomized_ssc_check(g, leaders, trials=args.trials, seed=args.seed)

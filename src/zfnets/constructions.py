@@ -190,20 +190,6 @@ def expected_edges(n: int, n_leaders: int) -> int:
     return product // 2
 
 
-def edge_terms_g1(n_leaders: int, d: int) -> tuple[int, int]:
-    """(clique edges across the d layers, inter-layer edges) for G1_BAR."""
-    k = n_leaders
-    e1 = d * (k * (k - 1) // 2)
-    e2 = (d - 1) * (k * (k + 1) // 2)
-    return e1, e2
-
-
-def edge_terms_g2(n: int, n_leaders: int) -> tuple[int, int, int]:
-    """(bipartite leader-follower edges, path edges, leader clique edges) for G2_BAR."""
-    k = n_leaders
-    return (n - k) * (k - 1), n - k, k * (k - 1) // 2
-
-
 def default_g3_diameter(n: int, n_leaders: int) -> int:
     """Midpoint of the feasible diameter range [2, n/k], rounded up."""
     k = n_leaders

@@ -31,14 +31,17 @@ The index rechecks exactly those, plus the candidates a relabelled node
 gains by changing kind.  So it lists the same matches in the same order as
 a full scan, and a seed gives the same schedule whichever way the matches
 are found.
+
+The scheduler draws from `_Pcg64`, zfnets' own PCG64 stream, equal to numpy
+2.4.6's `default_rng(seed).integers(total)` draw for draw.  NumPy does not
+promise to keep its stream (NEP 19); owning it keeps every seed's `.trace`.
 """
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
-
-import numpy as np
 
 from .constructions import ConstructedNetwork
 from .graph import Graph
@@ -367,7 +370,7 @@ class _MatchIndex:
         return [Match(rule, nodes) for rule, listed in zip(self.rules, self.listed)
                 for nodes in listed]
 
-    def draw(self, rng: np.random.Generator, prefer_phase: str | None) -> Match | None:
+    def draw(self, rng: _Pcg64, prefer_phase: str | None) -> Match | None:
         """One uniformly random listed match (of prefer_phase when it has one)."""
         pool = range(len(self.rules))
         if prefer_phase is not None:
@@ -377,7 +380,7 @@ class _MatchIndex:
         total = sum(len(self.listed[r]) for r in pool)
         if total == 0:
             return None
-        i = int(rng.integers(total))
+        i = rng.integers(total)
         for r in pool:
             if i < len(self.listed[r]):
                 break
@@ -448,6 +451,74 @@ def step(state: LabeledGraph, match: Match) -> LabeledGraph:
     return nxt
 
 
+_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+class _Pcg64:
+    """SeedSequence(seed) -> PCG64 -> Generator.integers, as numpy does them.
+
+    The seed's 32-bit words are hashed into a 4-word pool, which hashes out
+    the 128-bit state and increment.  A step is an LCG mod 2**128 with an
+    XSL-RR output; a 32-bit draw is the low half of a 64-bit one and keeps
+    the high half for the next 32-bit draw.  `integers` is Lemire's method.
+    """
+
+    def __init__(self, seed: int) -> None:
+        seed = operator.index(seed)
+        if seed < 0:
+            raise ValueError("expected non-negative integer")
+        words = [seed >> s & _M32 for s in range(0, seed.bit_length() or 1, 32)]
+        const = 0x43B0D7E5
+
+        def hashmix(v: int, mult: int = 0x931E8875) -> int:
+            nonlocal const
+            v ^= const
+            const = const * mult & _M32
+            v = v * const & _M32
+            return v ^ v >> 16
+
+        def mix(dst: int, v: int) -> None:
+            r = (0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(v)) & _M32
+            pool[dst] = r ^ r >> 16
+
+        pool = [hashmix(w) for w in (words + [0, 0, 0])[:4]]
+        for src, dst in ((s, d) for s in range(4) for d in range(4) if s != d):
+            mix(dst, pool[src])
+        for w in words[4:]:
+            for dst in range(4):
+                mix(dst, w)
+        const = 0x8B51F9DD
+        out = [hashmix(pool[i % 4], 0x58F38DED) for i in range(8)]
+        w = [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
+        self.inc = ((w[2] << 64 | w[3]) << 1 | 1) & _M128
+        self.state = ((self.inc + (w[0] << 64 | w[1])) * _PCG_MULT + self.inc) & _M128
+        self.half: int | None = None
+
+    def next64(self) -> int:
+        s = self.state = (self.state * _PCG_MULT + self.inc) & _M128
+        v, r = (s >> 64 ^ s) & _M64, s >> 122
+        return (v >> r | v << 64 - r) & _M64
+
+    def next32(self) -> int:
+        if self.half is not None:
+            v, self.half = self.half, None
+            return v
+        v = self.next64()
+        self.half = v >> 32
+        return v & _M32
+
+    def integers(self, total: int) -> int:
+        """A uniform draw from range(total), for 1 <= total <= 2**63."""
+        if total == 1:  # numpy draws nothing here, and neither may we
+            return 0
+        bits, draw = (32, self.next32) if total <= 1 << 32 else (64, self.next64)
+        m, mask = draw() * total, (1 << bits) - 1
+        while (m & mask) < (1 << bits) % total:  # lows below it would bias the draw
+            m = draw() * total
+        return m >> bits
+
+
 def _step_budget(n: int) -> int:
     return 4 * n * n + 8 * n + 32
 
@@ -470,7 +541,7 @@ def run_to_fixpoint(
     the state only through the rewrites the run applies itself.
     """
     state = initial.copy()
-    rng = np.random.default_rng(seed)
+    rng = _Pcg64(seed)
     budget = _step_budget(state.graph.n) if max_steps is None else max_steps
     trace: list[tuple[str, tuple[int, ...]]] = []
     index = _MatchIndex(state, rules)

@@ -4,9 +4,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class GraphDisconnectedError(ValueError):
@@ -143,6 +144,8 @@ class Graph:
 
     def laplacian(self) -> np.ndarray:
         """Combinatorial Laplacian L = D - A as a dense float array."""
+        import numpy as np
+
         lap = np.zeros((self.n, self.n), dtype=float)
         for u in range(self.n):
             lap[u, u] = len(self._adj[u])

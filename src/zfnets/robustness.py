@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
 from . import constructions as cons
 from .graph import Graph
 
@@ -40,6 +38,8 @@ def spectrum(g: Graph) -> SpectrumReport:
     connected" holds uniformly.  Raises ConvergenceError if LAPACK does not
     converge.
     """
+    import numpy as np
+
     if g.n < 1:
         raise ValueError("need at least one node")
     try:

@@ -148,11 +148,6 @@ def controllability_report(r: SystemRealization) -> tuple[int, str]:
     return rank, "controllable" if rank == n else "uncontrollable"
 
 
-def is_controllable_pair(r: SystemRealization) -> bool:
-    """True iff the Kalman matrix has rank n mod PRIME."""
-    return controllability_report(r)[0] == r.m_matrix.shape[0]
-
-
 @dataclass(frozen=True)
 class TrialRecord:
     trial: int

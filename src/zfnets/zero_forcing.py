@@ -49,21 +49,6 @@ def _as_black_set(g: Graph, black: Iterable[int]) -> set[int]:
     return s
 
 
-def forcing_candidates(g: Graph, black: Iterable[int]) -> list[tuple[int, int]]:
-    """All (forcer, forced) moves available right now, sorted by forcer id.
-
-    A forcer is a black node with exactly one white neighbor, so each forcer
-    appears at most once.
-    """
-    black_set = _as_black_set(g, black)
-    out: list[tuple[int, int]] = []
-    for v in sorted(black_set):
-        white = [u for u in g.neighbors(v) if u not in black_set]
-        if len(white) == 1:
-            out.append((v, white[0]))
-    return out
-
-
 def _run(g: Graph, black: Iterable[int]) -> tuple[ForcingTrace, bool]:
     """Force to exhaustion, smallest forcer id first; return (trace, unique).
 

@@ -10,6 +10,10 @@ of every rule (vs. the incremental match index), and Kalman rank over Q via Frac
 elimination on the exact integer powers and mod a prime via Python-int
 elimination of the explicit Kalman matrix (vs. lock-step block Krylov
 elimination in float64 BLAS).
+
+It also holds the small helpers only the tests need: the per-family edge
+terms of the closed-form count, the forcing-candidate rescan and the
+boolean form of the controllability report.
 """
 from __future__ import annotations
 
@@ -21,7 +25,27 @@ import scipy.linalg
 
 from zfnets.grammar import LabeledGraph, Match, Rule, _binding_ok, _match_effect
 from zfnets.graph import Graph
-from zfnets.zero_forcing import ForcingTrace, forcing_candidates
+from zfnets.ssc import SystemRealization, controllability_report
+from zfnets.zero_forcing import ForcingTrace
+
+
+def edge_terms_g1(n_leaders: int, d: int) -> tuple[int, int]:
+    """(clique edges across the d layers, inter-layer edges) for G1_BAR."""
+    k = n_leaders
+    e1 = d * (k * (k - 1) // 2)
+    e2 = (d - 1) * (k * (k + 1) // 2)
+    return e1, e2
+
+
+def edge_terms_g2(n: int, n_leaders: int) -> tuple[int, int, int]:
+    """(bipartite leader-follower edges, path edges, leader clique edges) for G2_BAR."""
+    k = n_leaders
+    return (n - k) * (k - 1), n - k, k * (k - 1) // 2
+
+
+def is_controllable_pair(r: SystemRealization) -> bool:
+    """True iff the Kalman matrix has rank n mod PRIME."""
+    return controllability_report(r)[0] == r.m_matrix.shape[0]
 
 
 class JacobiNonConvergence(RuntimeError):
@@ -185,6 +209,24 @@ def addable_edges_exhaustive(g: Graph, black: set[int]) -> list[tuple[int, int]]
         h.add_edge(u, v)
         if len(closure_bruteforce(h, black)) == g.n:
             out.append((u, v))
+    return out
+
+
+def forcing_candidates(g: Graph, black) -> list[tuple[int, int]]:
+    """All (forcer, forced) moves available right now, sorted by forcer id.
+
+    A forcer is a black node with exactly one white neighbor, so each forcer
+    appears at most once.
+    """
+    black_set = set(black)
+    for v in black_set:
+        if not 0 <= v < g.n:
+            raise ValueError(f"black vertex {v} out of range for graph on {g.n} nodes")
+    out: list[tuple[int, int]] = []
+    for v in sorted(black_set):
+        white = [u for u in g.neighbors(v) if u not in black_set]
+        if len(white) == 1:
+            out.append((v, white[0]))
     return out
 
 

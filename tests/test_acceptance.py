@@ -21,6 +21,7 @@ from conftest import (
     random_connected_graph,
     random_graph,
 )
+from oracles import edge_terms_g1, edge_terms_g2, forcing_candidates
 from zfnets.constructions import (
     build,
     build_g1,
@@ -29,8 +30,6 @@ from zfnets.constructions import (
     build_g3_bar,
     ConstructionSpec,
     default_g3_diameter,
-    edge_terms_g1,
-    edge_terms_g2,
     expected_edges,
 )
 from zfnets.graph import complete_graph, from_edge_list_text, path_graph, to_edge_list_text
@@ -48,7 +47,6 @@ from zfnets.ssc import randomized_ssc_check
 from zfnets.zero_forcing import (
     closure,
     derived_set,
-    forcing_candidates,
     is_maximal_for_zfs,
     is_zfs,
     validate_trace,

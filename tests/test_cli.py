@@ -30,6 +30,13 @@ def write_graph(tmp_path, graph, name="g.edges"):
     return path
 
 
+def run_child(code: str, *argv: str, cwd=None) -> subprocess.CompletedProcess:
+    """`python -c code argv...` in a fresh interpreter that imports zfnets from src/."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, cwd=cwd,
+                          capture_output=True, text=True)
+
+
 def test_construct_writes_all_formats(tmp_path, capsys):
     out = tmp_path / "net"
     code, text = run(
@@ -337,8 +344,7 @@ def test_oracle_rejects_graphs_beyond_the_exact_limit(tmp_path, capsys):
 def test_cli_import_loads_no_scipy():
     code = ("import sys, zfnets.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = run_child(code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 
@@ -351,3 +357,48 @@ def test_grammar_r2_checks_the_diameter(tmp_path, capsys):
     code, text = run(capsys, "grammar", "--rules", "r2", "--nodes", "12",
                      "--leaders", "3", "--diameter", "2", "--out", str(tmp_path / "y"))
     assert code == 0 and "matches construction: yes" in text
+
+
+def test_oracle_out_creates_missing_directories(tmp_path, capsys):
+    path = write_graph(tmp_path, build_g2_bar(10, 2).graph)
+    out = tmp_path / "new" / "dir" / "trials.csv"
+    code, text = run(capsys, "oracle", "--graph", str(path), "--leaders", "0,1",
+                     "--trials", "4", "--out", str(out))
+    assert code == 0 and text.endswith(f"wrote {out}\n")
+    assert out.read_text().splitlines()[0] == "trial,seed,rank,verdict"
+
+
+def test_grammar_rejects_a_negative_seed(tmp_path, capsys):
+    code = main(["grammar", "--rules", "r1", "--nodes", "12", "--leaders", "3",
+                 "--diameter", "4", "--seed", "-1", "--out", str(tmp_path / "x")])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: expected non-negative integer\n"
+    assert not (tmp_path / "x.trace").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--family", "g1bar", "--nodes", "24", "--leaders", "3",
+     "--diameter", "8", "--out", "g"],
+    ["verify", "--graph", "g.edges", "--leaders", "0,1,2"],
+    ["grammar", "--rules", "r1", "--nodes", "24", "--leaders", "3", "--diameter", "8",
+     "--out", "r1"],
+    ["grammar", "--rules", "r2", "--nodes", "24", "--leaders", "3", "--out", "r2"],
+], ids=["construct", "verify", "grammar-r1", "grammar-r2"])
+def test_commands_without_linear_algebra_import_no_numpy(tmp_path, argv):
+    write_graph(tmp_path, build_g1_bar(24, 3, 8).graph)
+    code = ("import sys, zfnets.cli; code = zfnets.cli.main(sys.argv[1:]); "
+            "print('numpy' in sys.modules, code)")
+    proc = run_child(code, *argv, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False 0"
+
+
+def test_package_import_is_lazy():
+    code = ("import sys, zfnets; "
+            "print(sorted(m for m in sys.modules if m.startswith('zfnets.')), 'numpy' in sys.modules); "
+            "missing = [n for n in zfnets.__all__ if getattr(zfnets, n, None) is None]; "
+            "print(missing, zfnets.grammar.__name__, zfnets.cli.main.__module__)")
+    proc = run_child(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[] False\n[] zfnets.grammar zfnets.cli\n"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import g1_feasible, g2_feasible, g3_diameters, grid_points
+from oracles import edge_terms_g1, edge_terms_g2
 from zfnets.constructions import (
     FAMILIES,
     ConstructionSpec,
@@ -17,8 +18,6 @@ from zfnets.constructions import (
     build_g3_bar,
     build_word,
     default_d,
-    edge_terms_g1,
-    edge_terms_g2,
     expected_edges,
     normalize_family,
     parse_construction_config,

@@ -6,6 +6,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import applicable_matches_rescan
 from zfnets import grammar
@@ -288,6 +290,29 @@ def test_criterion_7_schedules_match_pinned_digests(make_rules, n, digest):
                                       prefer_phase=PI2 if seed >= 80 else None)
         joined.update(schedule.to_text().encode())
     assert joined.hexdigest() == digest
+
+
+# Every branch of Generator.integers(total): no draw (1), 32-bit Lemire
+# (below 2**32), a whole 32-bit draw (2**32) and 64-bit Lemire (above), with
+# totals whose rejection zone covers about half of the draws.
+_RNG_TOTALS = st.one_of(
+    st.integers(1, 2**32 - 1),
+    st.integers(2**32 + 1, 2**63),
+    st.sampled_from([1, 2, 3, 2**31 + 1, 2**32, 2**62 + 1, 2**63 - 1, 2**63]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**128), totals=st.lists(_RNG_TOTALS, min_size=1, max_size=80))
+def test_scheduler_rng_equals_numpy_default_rng(seed, totals):
+    ours, ref = grammar._Pcg64(seed), np.random.default_rng(seed)
+    assert [ours.integers(t) for t in totals] == [int(ref.integers(t)) for t in totals]
+
+
+def test_scheduler_rng_rejects_negative_seeds_like_numpy():
+    for make in (grammar._Pcg64, np.random.default_rng):
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            make(-1)
 
 
 @pytest.mark.parametrize("name, n", sorted(ASSEMBLE_DIGESTS))

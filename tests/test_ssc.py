@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_connected_graph
-from oracles import kalman_rank_exact, kalman_rank_mod_p
+from oracles import is_controllable_pair, kalman_rank_exact, kalman_rank_mod_p
 from zfnets.constructions import (
     FAMILIES,
     ConstructionSpec,
@@ -31,7 +31,6 @@ from zfnets.ssc import (
     _submul,
     SystemRealization,
     controllability_report,
-    is_controllable_pair,
     randomized_ssc_check,
     sample_realization,
 )

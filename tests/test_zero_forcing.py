@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cross_path_non_edges, random_graph
-from oracles import closure_bruteforce
+from oracles import closure_bruteforce, forcing_candidates
 from zfnets import constructions as cons
 from zfnets import zero_forcing
 from zfnets.constructions import build_g1, build_g1_bar, build_g2_bar, build_g3_bar
@@ -18,7 +18,6 @@ from zfnets.zero_forcing import (
     ForcingTrace,
     closure,
     derived_set,
-    forcing_candidates,
     is_maximal_for_zfs,
     is_unique_process,
     is_zfs,
