@@ -95,8 +95,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
             raise ValueError(f"construct needs {', '.join(missing)} (or --config)")
         spec = cons.ConstructionSpec(args.family, args.nodes, args.leaders, args.diameter)
     net = cons.build(spec)
-    suffix = f"_d{spec.d}" if spec.d is not None else ""
-    base = f"{spec.family}_n{spec.n}_nl{spec.n_leaders}{suffix}"
+    base = f"{spec.family}_n{spec.n}_nl{spec.n_leaders}_d{spec.d}"
     prefix = _resolve_out(args.out, base)
     fmt = args.format or "all"
     if fmt in ("edgelist", "all"):
@@ -158,13 +157,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# --rules name -> (the family its fixpoint must match, its rules for that spec)
+GRAMMARS = {
+    "r1": (cons.G1_BAR, lambda spec: gram.grammar_r1(spec.n_leaders, spec.d)),
+    "r2": (cons.G2_BAR, lambda spec: gram.grammar_r2(spec.n, spec.n_leaders)),
+}
+
+
 def cmd_grammar(args: argparse.Namespace) -> int:
     n, k = args.nodes, args.leaders
+    family, make_rules = GRAMMARS[args.rules]
     # Built first: ConstructionSpec rejects any infeasible shape (also d != 2 for r2).
-    family = cons.G1_BAR if args.rules == "r1" else cons.G2_BAR
     target = cons.build(cons.ConstructionSpec(family, n, k, args.diameter))
-    rules = (gram.grammar_r1(k, args.diameter) if args.rules == "r1"
-             else gram.grammar_r2(n, k, r6_same_index_only=args.r6_same_index))
+    rules = make_rules(target.spec)
 
     frames_dir: Path | None = None
     if args.frames:
@@ -255,15 +260,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("grammar", help="run a distributed grammar to fixpoint")
-    p.add_argument("--rules", choices=("r1", "r2"), required=True)
+    p.add_argument("--rules", choices=GRAMMARS, required=True)
     p.add_argument("--nodes", type=int, required=True)
     p.add_argument("--leaders", type=int, required=True)
     p.add_argument("--diameter", type=int, help="target diameter (r1; r2 accepts only 2)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--prefer-pi2", action="store_true",
                    help="always take an edge-maximizing match when one exists")
-    p.add_argument("--r6-same-index", action="store_true",
-                   help="use the literal same-subscript fan-out rule in r2")
     p.add_argument("--frames", help="directory for per-step DOT frames")
     p.add_argument("--out", help="output path prefix for trace and final DOT")
     p.set_defaults(func=cmd_grammar)

@@ -18,8 +18,9 @@ The three bar families meet the zero forcing edge bound kn - k(k+1)/2 and
 are built from forcing words by build_word: g1bar from (0..k-1)^(d-1),
 g2bar from 0^(n-k), g3bar from (0..k-1)^(d-2) 0^(n-k(d-1)) or, when
 d = n/k > 2, g1bar's word.  G1 has C(k, 2) + k(d-1) edges, below the
-bound.  All four put the leaders at ids 0..k-1 and use deterministic id
-layouts, so repeated builds are byte-for-byte identical.
+bound.  build(spec) builds all four; they put the leaders at ids 0..k-1
+and use deterministic id layouts, so repeated builds are byte-for-byte
+identical.
 """
 from __future__ import annotations
 
@@ -128,28 +129,12 @@ class ConstructionSpec:
                     f"(got d={d}, n/n_leaders = {n}/{k})"
                 )
 
-    @classmethod
-    def from_mapping(cls, data: dict[str, str]) -> "ConstructionSpec":
-        """Build from a key=value mapping with keys family, n, nl, d (d optional)."""
-        norm = {k.strip().lower(): v for k, v in data.items()}
-        extra = set(norm) - {"family", "n", "nl", "d"}
-        if extra:
-            raise InfeasibleSpecError(
-                f"config has unknown key(s): {', '.join(sorted(extra))}"
-            )
-        try:
-            family = norm["family"]
-            n = int(norm["n"])
-            k = int(norm["nl"])
-        except KeyError as exc:
-            raise InfeasibleSpecError(f"config is missing key {exc.args[0]!r}") from exc
-        d = int(norm["d"]) if "d" in norm else None
-        return cls(family=family, n=n, n_leaders=k, d=d)
-
 
 def parse_construction_config(text: str) -> ConstructionSpec:
-    """Parse a plain key=value config (one pair per line, # comments allowed)."""
+    """Parse a plain key=value config: keys family, n, nl and optional d, in
+    any case, one pair per line, # comments allowed, no key twice."""
     data: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -157,8 +142,21 @@ def parse_construction_config(text: str) -> ConstructionSpec:
         if "=" not in line:
             raise InfeasibleSpecError(f"config line {lineno}: expected key=value, got {raw!r}")
         key, value = line.split("=", 1)
-        data[key.strip()] = value.strip()
-    return ConstructionSpec.from_mapping(data)
+        key = key.strip().lower()
+        if key in line_of:
+            raise InfeasibleSpecError(
+                f"config key {key!r} is set twice (lines {line_of[key]} and {lineno})"
+            )
+        data[key], line_of[key] = value.strip(), lineno
+    extra = set(data) - {"family", "n", "nl", "d"}
+    if extra:
+        raise InfeasibleSpecError(f"config has unknown key(s): {', '.join(sorted(extra))}")
+    try:
+        family, n, k = data["family"], int(data["n"]), int(data["nl"])
+    except KeyError as exc:
+        raise InfeasibleSpecError(f"config is missing key {exc.args[0]!r}") from exc
+    d = int(data["d"]) if "d" in data else None
+    return ConstructionSpec(family=family, n=n, n_leaders=k, d=d)
 
 
 @dataclass(frozen=True)
@@ -216,31 +214,14 @@ def default_d(family: str, n: int, n_leaders: int) -> int | None:
     return default_g3_diameter(n, k)
 
 
-def _follower_id(k: int, i: int, j: int) -> int:
-    """Id of follower u_{i,j} (chain i = 1..k, layer j >= 1) in the G1 layout."""
-    return k + (j - 1) * k + (i - 1)
-
-
 def _layered_layout(k: int, layers: int) -> dict[int, str]:
-    """Roles L1..Lk of the leaders and u_{i,j} of layers j = 1..layers."""
+    """Roles L1..Lk of the leaders and u_{i,j}, node j*k + i-1, of layers
+    j = 1..layers."""
     layout = {i - 1: f"L{i}" for i in range(1, k + 1)}
     for j in range(1, layers + 1):
         for i in range(1, k + 1):
-            layout[_follower_id(k, i, j)] = f"u_{i},{j}"
+            layout[j * k + i - 1] = f"u_{i},{j}"
     return layout
-
-
-def build_g1(n: int, n_leaders: int, d: int) -> ConstructedNetwork:
-    """Leader clique plus k disjoint follower paths (the sparse skeleton)."""
-    spec = ConstructionSpec(family=G1, n=n, n_leaders=n_leaders, d=d)
-    k = n_leaders
-    g = Graph(n, combinations(range(k), 2))
-    for i in range(1, k + 1):
-        if d >= 2:
-            g.add_edge(i - 1, _follower_id(k, i, 1))
-        for j in range(1, d - 1):
-            g.add_edge(_follower_id(k, i, j), _follower_id(k, i, j + 1))
-    return ConstructedNetwork(spec, g, LeaderSet(tuple(range(k))), _layered_layout(k, d - 1))
 
 
 def build_word(k: int, word: Sequence[int]) -> Graph:
@@ -281,67 +262,51 @@ def build_word(k: int, word: Sequence[int]) -> Graph:
     return g
 
 
-def _from_word(
-    spec: ConstructionSpec, word: list[int], layout: dict[int, str]
-) -> ConstructedNetwork:
-    k = spec.n_leaders
-    return ConstructedNetwork(spec, build_word(k, word), LeaderSet(tuple(range(k))), layout)
+def build(spec: ConstructionSpec) -> ConstructedNetwork:
+    """The network of a validated spec; every family is built here.
+
+    g1 is the leader clique plus k paths.  The bar families are the forcing
+    words of the module docstring, and g2bar is g3bar's word at d = 2 with
+    its tail tagged u_ instead of v_.  A g3bar build must measure its
+    requested diameter.
+    """
+    family, n, k, d = spec.family, spec.n, spec.n_leaders, spec.d
+    if family == G1:
+        g = Graph(n, combinations(range(k), 2))
+        for c in range(k):  # chain c is c, c + k, ..., c + (d-1)k
+            for v in range(c, n - k, k):
+                g.add_edge(v, v + k)
+        layout = _layered_layout(k, d - 1)
+    elif family == G1_BAR or (family == G3_BAR and d > 2 and k * d == n):
+        g = build_word(k, list(range(k)) * (d - 1))
+        layout = _layered_layout(k, d - 1)
+    else:
+        start = k * (d - 1)
+        g = build_word(k, list(range(k)) * (d - 2) + [0] * (n - start))
+        layout = _layered_layout(k, d - 2)
+        tail = "u" if family == G2_BAR else "v"
+        layout.update({v: f"{tail}_{v - start + 1}" for v in range(start, n)})
+    if family == G3_BAR:
+        measured = g.diameter()
+        if measured != d:
+            raise ConstructionMismatchError(
+                f"built {family} graph has diameter {measured}, expected {d}"
+            )
+    return ConstructedNetwork(spec, g, LeaderSet(tuple(range(k))), layout)
+
+
+# Shorthands for build(ConstructionSpec(...)).
+def build_g1(n: int, n_leaders: int, d: int) -> ConstructedNetwork:
+    return build(ConstructionSpec(G1, n, n_leaders, d))
 
 
 def build_g1_bar(n: int, n_leaders: int, d: int) -> ConstructedNetwork:
-    """Edge-maximal variant of G1, same ids and layout: the word (0..k-1)^(d-1)."""
-    spec = ConstructionSpec(family=G1_BAR, n=n, n_leaders=n_leaders, d=d)
-    k = n_leaders
-    return _from_word(spec, list(range(k)) * (d - 1), _layered_layout(k, d - 1))
+    return build(ConstructionSpec(G1_BAR, n, n_leaders, d))
 
 
 def build_g2_bar(n: int, n_leaders: int) -> ConstructedNetwork:
-    """Diameter-2 family, the word 0^(n-k): a follower path u_1..u_m off L1,
-    and every other leader joined to every follower."""
-    spec = ConstructionSpec(family=G2_BAR, n=n, n_leaders=n_leaders)
-    k = n_leaders
-    layout = _layered_layout(k, 0)
-    layout.update({v: f"u_{v - k + 1}" for v in range(k, n)})
-    return _from_word(spec, [0] * (n - k), layout)
+    return build(ConstructionSpec(G2_BAR, n, n_leaders))
 
 
 def build_g3_bar(n: int, n_leaders: int, d: int) -> ConstructedNetwork:
-    """Any-diameter family: G1_BAR-style prefix feeding a G2_BAR-style tail.
-
-    The word is (0..k-1)^(d-2) 0^t with t = n - k(d-1): layers 1..d-2 as in
-    G1_BAR, then a tail v_1..v_t whose path extends chain 1 off the last
-    prefix layer, joined to the rest of that layer.  d = 2 reproduces
-    build_g2_bar, and d = n/k > 2 returns the build_g1_bar graph verbatim.
-    """
-    spec = ConstructionSpec(family=G3_BAR, n=n, n_leaders=n_leaders, d=d)
-    k = n_leaders
-    if d > 2 and k * d == n:
-        net = _from_word(spec, list(range(k)) * (d - 1), _layered_layout(k, d - 1))
-    else:
-        layout = _layered_layout(k, d - 2)
-        start = k * (d - 1)
-        layout.update({v: f"v_{v - start + 1}" for v in range(start, n)})
-        net = _from_word(spec, list(range(k)) * (d - 2) + [0] * (n - start), layout)
-    _check_diameter(net, d)
-    return net
-
-
-def _check_diameter(net: ConstructedNetwork, d: int) -> None:
-    measured = net.graph.diameter()
-    if measured != d:
-        raise ConstructionMismatchError(
-            f"built {net.family} graph has diameter {measured}, expected {d}"
-        )
-
-
-def build(spec: ConstructionSpec) -> ConstructedNetwork:
-    """Dispatch a validated spec to its family builder."""
-    if spec.family == G1:
-        return build_g1(spec.n, spec.n_leaders, spec.d)
-    if spec.family == G1_BAR:
-        return build_g1_bar(spec.n, spec.n_leaders, spec.d)
-    if spec.family == G2_BAR:
-        return build_g2_bar(spec.n, spec.n_leaders)
-    if spec.family == G3_BAR:
-        return build_g3_bar(spec.n, spec.n_leaders, spec.d)
-    raise InfeasibleSpecError(f"unknown family {spec.family!r}")
+    return build(ConstructionSpec(G3_BAR, n, n_leaders, d))

@@ -220,22 +220,17 @@ def grammar_r1(n_leaders: int, d: int) -> list[Rule]:
     ]
 
 
-def grammar_r2(n: int, n_leaders: int, r6_same_index_only: bool = False) -> list[Rule]:
+def grammar_r2(n: int, n_leaders: int) -> list[Rule]:
     """Rule set producing the diameter-2 family on n nodes.
 
     The final fan-out rule connects every non-first leader to every chain
-    node.  Set r6_same_index_only=True for the narrower matching-subscript
-    variant (adds only n_leaders-1 fan-out edges; kept for comparison).
+    node.
     """
     if n_leaders < 2:
         raise ValueError(f"need n_leaders >= 2, got {n_leaders}")
     if n <= n_leaders:
         raise ValueError(f"need n > n_leaders, got n={n}, n_leaders={n_leaders}")
     nf = n - n_leaders
-    if r6_same_index_only:
-        r6_guard: Guard = lambda a, b: a.i != 1 and b.i == a.i
-    else:
-        r6_guard = lambda a, b: a.i != 1
     r0, r1, r5 = _leader_rules(n_leaders)
     return [
         r0, r1,
@@ -253,7 +248,7 @@ def grammar_r2(n: int, n_leaders: int, r6_same_index_only: bool = False) -> list
              guard=lambda a, b: a.i == nf,
              relabel_left=lambda a, b: Label(GAMMA, a.i)),
         r5,
-        Rule("r6", PI2, LEADER, GAMMA, guard=r6_guard, connect=True),
+        Rule("r6", PI2, LEADER, GAMMA, guard=lambda a, b: a.i != 1, connect=True),
     ]
 
 

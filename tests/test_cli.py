@@ -13,7 +13,7 @@ import pytest
 from zfnets import zero_forcing
 from zfnets.cli import main
 from zfnets.constructions import FAMILIES, build_g1, build_g1_bar, build_g2_bar, default_d
-from zfnets.graph import from_edge_list_text, to_edge_list_text
+from zfnets.graph import Graph, from_edge_list_text, to_edge_list_text
 from zfnets.robustness import spectrum
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -106,6 +106,31 @@ def test_construct_from_config_file(tmp_path, capsys):
     out = tmp_path / "net"
     code, text = run(capsys, "construct", "--config", str(cfg), "--out", str(out))
     assert code == 0 and "family=g2bar" in text and "n=10" in text
+
+
+def test_construct_config_with_a_repeated_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "net.cfg"
+    cfg.write_text("family = g1bar\nn = 12\nnl = 3\nd = 4\nN = 16\n")
+    out = tmp_path / "net"
+    code = main(["construct", "--config", str(cfg), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == (
+        "error: infeasible spec: config key 'n' is set twice (lines 2 and 5)\n")
+    assert not (tmp_path / "net.edges").exists()
+
+
+def test_construct_self_check_failure_exits_3(tmp_path, capsys, monkeypatch):
+    diameter = Graph.diameter
+    monkeypatch.setattr(Graph, "diameter", lambda g: diameter(g) + 1)
+    out = tmp_path / "net"
+    code = main(["construct", "--family", "g3bar", "--nodes", "12", "--leaders", "3",
+                 "--diameter", "3", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == ("error: construction self-check failed: "
+                            "built g3bar graph has diameter 4, expected 3\n")
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
 
 
 def test_construct_infeasible_exits_2(tmp_path, capsys):
@@ -262,15 +287,10 @@ def test_grammar_run_matches_construction(tmp_path, capsys):
     assert len(frame_files) == 35  # initial frame plus one per step
 
 
-def test_grammar_r2_and_narrow_variant(tmp_path, capsys):
+def test_grammar_r2_matches_construction(tmp_path, capsys):
     code, text = run(capsys, "grammar", "--rules", "r2", "--nodes", "12",
                      "--leaders", "3", "--out", str(tmp_path / "a"))
     assert code == 0 and "matches construction: yes" in text
-    code, text = run(capsys, "grammar", "--rules", "r2", "--nodes", "12",
-                     "--leaders", "3", "--r6-same-index",
-                     "--out", str(tmp_path / "b"))
-    assert code == 3
-    assert "edges: 14" in text and "matches construction: no" in text
 
 
 def test_grammar_pi2_priority(tmp_path, capsys):

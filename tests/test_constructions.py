@@ -1,6 +1,8 @@
 """Network construction families: counts, shapes, boundaries, feasibility."""
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +24,7 @@ from zfnets.constructions import (
     normalize_family,
     parse_construction_config,
 )
-from zfnets.graph import path_graph
+from zfnets.graph import export_dot, path_graph, to_edge_list_text
 from zfnets.zero_forcing import is_zfs
 
 
@@ -145,6 +147,34 @@ def test_g3bar_boundary_equals_g2bar():
 def test_g3bar_boundary_equals_g1bar():
     assert build_g3_bar(12, 3, 4).graph == build_g1_bar(12, 3, 4).graph
     assert build_g3_bar(18, 3, 6).graph == build_g1_bar(18, 3, 6).graph
+
+
+# sha256 over every (family, N <= 24, k, d) below, taken before build() became
+# the only builder: each case's InfeasibleSpecError text or its .edges,
+# .layout and .dot bytes as `zfnets construct` writes them.
+CONSTRUCTION_DIGEST = "ae26cf9fbb25f962507d9dbea5e007d0e52546a01c081efea1d19b8aa7896226"
+
+
+def test_construction_bytes_match_pinned_digest():
+    h = hashlib.sha256()
+    feasible = 0
+    for n in range(1, 25):
+        for k in range(1, n + 1):
+            for family in FAMILIES:
+                for d in [None] if family == "g2bar" else range(1, n + 1):
+                    h.update(f"{family} {n} {k} {d}\n".encode())
+                    try:
+                        net = build(ConstructionSpec(family, n, k, d))
+                    except InfeasibleSpecError as exc:
+                        h.update(f"error {exc}\n".encode())
+                        continue
+                    feasible += 1
+                    layout = "".join(f"{v} {net.layout[v]}\n" for v in range(n))
+                    for text in (to_edge_list_text(net.graph), layout,
+                                 export_dot(net.graph, net.leaders, net.layout)):
+                        h.update(text.encode())
+    assert feasible == 727
+    assert h.hexdigest() == CONSTRUCTION_DIGEST
 
 
 def test_infeasible_specs_name_the_constraint():
