@@ -20,17 +20,22 @@ between the two chain-start labels (GAMMA(i,1) -> BETA(i,1) in R1, BETA(1)
 two tests agree, and every seed keeps its schedule.
 
 A run keeps a match index: the full scan builds it once, and after each
-rewrite it rechecks only the bindings the rewrite can have changed.  A
-binding's verdict (`_binding_ok`) reads only its nodes' labels and, for a
-connect rule, whether the bound pair is an edge; its effect key reads only
-its nodes and their labels.  A rewrite adds at most the edge ab and
-relabels at most a and b, so a verdict or key can change only for
-- a binding that contains a relabelled node;
+rewrite it rechecks only the bindings the rewrite can have changed.  Guards
+and relabels must be pure functions of the two labels, so a binding's
+verdict (`_binding_ok`) reads only its nodes' labels and, for a connect
+rule, whether the bound pair is an edge; its effect key reads only its
+nodes and their labels.  A rewrite adds at most the edge ab and relabels at
+most a and b, so a verdict or key can change only for
+- a binding that holds a relabelled node;
 - the binding (a, b) or (b, a) of a connect rule, whose edge now exists.
-The index rechecks exactly those, plus the candidates a relabelled node
-gains by changing kind.  So it lists the same matches in the same order as
-a full scan, and a seed gives the same schedule whichever way the matches
-are found.
+The index lists a relabelled node's candidates (the bindings that hold it
+and pass their kinds and guard) under the old labels before the rewrite
+and under the new labels after it, and rechecks both lists and the new
+edge's bindings.  A binding that holds a relabelled node but is in neither
+list fails its kinds or guard under both labellings, so it was not
+applicable before the rewrite and is not after it.  So the index lists the
+same matches in the same order as a full scan, and a seed gives the same
+schedule whichever way the matches are found.
 
 The scheduler draws from `_Pcg64`, zfnets' own PCG64 stream, equal to numpy
 2.4.6's `default_rng(seed).integers(total)` draw for draw.  NumPy does not
@@ -41,7 +46,7 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .constructions import ConstructedNetwork
 from .graph import Graph
@@ -60,14 +65,13 @@ class NonConvergenceError(RuntimeError):
     """A run exceeded its step budget or left pre-final labels behind."""
 
 
-@dataclass(frozen=True)
-class Label:
+class Label(NamedTuple):
     """Node label: a kind plus up to two integer indices.
 
     ALPHA carries no indices, SEED/LEADER carry i, chain labels carry i and
     (only in R1) a layer index j.  A leader's j is None until it starts its
     follower chain and 0 from then on, so the leader's own label records
-    that its chain has started.
+    that its chain has started.  A tuple, so effect keys hash it in C.
     """
 
     kind: str
@@ -257,7 +261,7 @@ def _match_effect(state: LabeledGraph, rule: Rule, nodes: tuple[int, ...]):
     edge = None
     if rule.connect:
         u, v = nodes
-        edge = (min(u, v), max(u, v))
+        edge = (u, v) if u < v else (v, u)
     relabels = []
     la = state.labels[nodes[0]]
     lb = state.labels[nodes[1]] if len(nodes) == 2 else None
@@ -265,7 +269,9 @@ def _match_effect(state: LabeledGraph, rule: Rule, nodes: tuple[int, ...]):
         relabels.append((nodes[0], rule.relabel_left(la, lb)))
     if rule.relabel_right is not None:
         relabels.append((nodes[1], rule.relabel_right(la, lb)))
-    return edge, tuple(sorted(relabels, key=lambda t: t[0], reverse=False))
+        if len(relabels) == 2 and nodes[1] < nodes[0]:
+            relabels.reverse()
+    return edge, tuple(relabels)
 
 
 def _binding_ok(state: LabeledGraph, rule: Rule, nodes: tuple[int, ...]) -> bool:
@@ -274,7 +280,8 @@ def _binding_ok(state: LabeledGraph, rule: Rule, nodes: tuple[int, ...]) -> bool
     lb = None if rule.right is None else state.labels[nodes[1]]
     if la.kind != rule.left or (lb is not None and lb.kind != rule.right):
         return False
-    return rule.guard(la, lb) and not (rule.connect and state.graph.has_edge(*nodes))
+    return rule.guard(la, lb) and not (
+        rule.connect and nodes[1] in state.graph.neighbors(nodes[0]))
 
 
 def _positions(rules: list[Rule]) -> dict[str, int]:
@@ -292,41 +299,44 @@ class _MatchIndex:
     Per rule it holds each applicable binding with its effect key, the
     bindings grouped by effect key, and the listed bindings: the smallest
     binding of each group, in (v, u) order, which is the order the full
-    scan meets them in.  `apply` rewrites the state and rechecks only the
-    bindings the rewrite can have changed (see the module docstring for why
-    no other verdict or key moves).  Rule names must be unique within the
-    rule list; `_positions` checks that here and in `replay`.
+    scan meets them in.  Nodes are kept by kind and then by label, so a
+    guard runs once per partner label, not once per partner.  `apply`
+    rewrites the state and rechecks only the bindings the rewrite can have
+    changed (see the module docstring for why no other verdict or key
+    moves).  Rule names must be unique within the rule list; `_positions`
+    checks that here and in `replay`.
     """
 
     def __init__(self, state: LabeledGraph, rules: Iterable[Rule]):
         self.state = state
         self.rules = list(rules)
         self.position = _positions(self.rules)
-        self.kinds: dict[str, list[int]] = {}
+        self.kinds: dict[str, dict[Label, set[int]]] = {}
         for v, lab in enumerate(state.labels):
-            self.kinds.setdefault(lab.kind, []).append(v)
+            self.kinds.setdefault(lab.kind, {}).setdefault(lab, set()).add(v)
         self.effects: list[dict] = [{} for _ in self.rules]
         self.groups: list[dict] = [{} for _ in self.rules]
         self.listed: list[list[tuple[int, ...]]] = [[] for _ in self.rules]
-        self.by_node: list[dict[int, set]] = [{} for _ in self.rules]
-        for r, rule in enumerate(self.rules):
-            for v in self.kinds.get(rule.left, []):
-                for nodes in self._with_left(rule, v):
-                    self._recheck(r, nodes)
+        for r, todo in enumerate(self._candidates(range(state.graph.n))):
+            for nodes in todo:
+                self._recheck(r, nodes)
 
-    def _with_left(self, rule: Rule, v: int) -> list[tuple[int, ...]]:
-        """Candidate bindings of `rule` whose left node is v, in (v, u) order."""
-        if self.state.labels[v].kind != rule.left:
-            return []
-        if rule.right is None:
-            return [(v,)]
-        return [(v, u) for u in self.kinds.get(rule.right, []) if u != v]
-
-    def _with_right(self, rule: Rule, u: int) -> list[tuple[int, ...]]:
-        """Candidate bindings of `rule` whose right node is u, in (v, u) order."""
-        if rule.right is None or self.state.labels[u].kind != rule.right:
-            return []
-        return [(v, u) for v in self.kinds.get(rule.left, []) if v != u]
+    def _candidates(self, nodes: Iterable[int]) -> list[set[tuple[int, ...]]]:
+        """Per rule, the bindings holding a node of `nodes` that pass their kinds and guard."""
+        labels, kinds = self.state.labels, self.kinds
+        found: list[set[tuple[int, ...]]] = [set() for _ in self.rules]
+        for rule, todo in zip(self.rules, found):
+            for v in nodes:
+                lab = labels[v]
+                if lab.kind == rule.left and rule.right is None:
+                    todo.update([(v,)] if rule.guard(lab, None) else ())
+                elif lab.kind == rule.left:
+                    todo.update((v, u) for lb, group in kinds.get(rule.right, {}).items()
+                                if rule.guard(lab, lb) for u in group if u != v)
+                if lab.kind == rule.right:
+                    todo.update((u, v) for la, group in kinds.get(rule.left, {}).items()
+                                if rule.guard(la, lab) for u in group if u != v)
+        return found
 
     def _recheck(self, r: int, nodes: tuple[int, ...]) -> None:
         rule, effects = self.rules[r], self.effects[r]
@@ -335,11 +345,9 @@ class _MatchIndex:
                if _binding_ok(self.state, rule, nodes) else None)
         if new == old:
             return
-        listed, group_of, by_node = self.listed[r], self.groups[r], self.by_node[r]
+        listed, group_of = self.listed[r], self.groups[r]
         if old is not None:
             del effects[nodes]
-            for v in nodes:
-                by_node[v].discard(nodes)
             group = group_of[old]
             i = bisect_left(group, nodes)
             del group[i]
@@ -351,8 +359,6 @@ class _MatchIndex:
                     del group_of[old]
         if new is not None:
             effects[nodes] = new
-            for v in nodes:
-                by_node.setdefault(v, set()).add(nodes)
             group = group_of.setdefault(new, [])
             i = bisect_left(group, nodes)
             group.insert(i, nodes)
@@ -384,25 +390,19 @@ class _MatchIndex:
 
     def apply(self, match: Match) -> None:
         """Rewrite the state by a listed match and recheck what it can change."""
-        state = self.state
-        edge, relabels = self.effects[self.position[match.rule.name]][match.nodes]
-        before = [(v, state.labels[v]) for v, _ in relabels]
-        _apply_inplace(state, match)
-        changed = []
-        for v, old in before:
-            lab = state.labels[v]
-            if lab == old:
-                continue
-            changed.append(v)
-            if lab.kind != old.kind:
-                del self.kinds[old.kind][bisect_left(self.kinds[old.kind], v)]
-                insort(self.kinds.setdefault(lab.kind, []), v)
+        labels, kinds = self.state.labels, self.kinds
+        edge, relabels = effect = self.effects[self.position[match.rule.name]][match.nodes]
+        moved = [(v, labels[v]) for v, lab in relabels if lab != labels[v]]
+        before = self._candidates([v for v, _ in moved])
+        _rewrite(self.state, effect)
+        for v, old in moved:
+            kinds[old.kind][old].remove(v)
+            if not kinds[old.kind][old]:
+                del kinds[old.kind][old]
+            kinds.setdefault(labels[v].kind, {}).setdefault(labels[v], set()).add(v)
+        after = self._candidates([v for v, _ in moved])
         for r, rule in enumerate(self.rules):
-            todo: set[tuple[int, ...]] = set()
-            for v in changed:
-                todo.update(self.by_node[r].get(v, ()))
-                todo.update(self._with_left(rule, v))
-                todo.update(self._with_right(rule, v))
+            todo = before[r] | after[r]
             if edge is not None and rule.connect:
                 todo.update(b for b in (edge, edge[::-1]) if b in self.effects[r])
             for nodes in todo:
@@ -421,8 +421,8 @@ def applicable_matches(state: LabeledGraph, rules: Iterable[Rule]) -> list[Match
     return _MatchIndex(state, rules).matches()
 
 
-def _apply_inplace(state: LabeledGraph, match: Match) -> None:
-    edge, relabels = _match_effect(state, match.rule, match.nodes)
+def _rewrite(state: LabeledGraph, effect) -> None:
+    edge, relabels = effect
     if edge is not None:
         state.graph.add_edge(*edge)
     for v, lab in relabels:
@@ -442,7 +442,7 @@ def step(state: LabeledGraph, match: Match) -> LabeledGraph:
             f"stale or invalid binding: rule {match.rule.name} on nodes {match.nodes}"
         )
     nxt = state.copy()
-    _apply_inplace(nxt, match)
+    _rewrite(nxt, _match_effect(nxt, match.rule, match.nodes))
     return nxt
 
 
@@ -544,14 +544,14 @@ def run_to_fixpoint(
         match = index.draw(rng, prefer_phase)
         if match is None:
             break
+        if len(trace) == budget:
+            raise NonConvergenceError(
+                f"no fixpoint after {budget} steps (n={state.graph.n})"
+            )
         index.apply(match)
         trace.append((match.rule.name, match.nodes))
         if on_step is not None:
             on_step(len(trace), state, match)
-        if len(trace) > budget:
-            raise NonConvergenceError(
-                f"no fixpoint after {budget} steps (n={state.graph.n})"
-            )
     return state, Schedule(seed=seed, steps=tuple(trace))
 
 
@@ -566,7 +566,7 @@ def replay(initial: LabeledGraph, rules: Iterable[Rule], schedule: Schedule) -> 
             raise ValueError(f"step {idx}: unknown rule {name!r}")
         if not _applicable(state, rule, nodes):
             raise ValueError(f"step {idx}: binding {nodes} for {name} is not applicable")
-        _apply_inplace(state, Match(rule, nodes))
+        _rewrite(state, _match_effect(state, rule, nodes))
     return state
 
 

@@ -215,28 +215,37 @@ def from_edge_list_text(text: str, n: int | None = None) -> Graph:
 
     Blank lines are skipped.  '# n=<count>' fixes the vertex count; other
     comment lines are ignored.  Without a header (or explicit n), the count
-    is max id + 1.
+    is max id + 1.  A bad line raises ValueError('line <k>: ...').
     """
-    pairs: list[tuple[int, int]] = []
+    edges: list[tuple[int, int, int]] = []
     header_n: int | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("n="):
-                header_n = int(body[2:])
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'u v', got {raw!r}")
-        pairs.append((int(parts[0]), int(parts[1])))
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if body.startswith("n="):
+                    header_n = int(body[2:])
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise ValueError(f"expected 'u v', got {raw!r}")
+            edges.append((int(parts[0]), int(parts[1]), lineno))
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
     if n is None:
         n = header_n
     if n is None:
-        n = 1 + max((max(u, v) for u, v in pairs), default=-1)
-    return Graph(n, pairs)
+        n = 1 + max((max(u, v) for u, v, _ in edges), default=-1)
+    g = Graph(n)
+    try:
+        for u, v, lineno in edges:
+            g.add_edge(u, v)
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
+    return g
 
 
 def export_dot(g: Graph, leaders: LeaderSet | None = None,

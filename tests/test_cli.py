@@ -176,6 +176,16 @@ def test_verify_non_forcing_leaders_exit_3(tmp_path, capsys):
     assert "maximal: n/a" in text
 
 
+def test_verify_names_the_edge_list_line_at_fault(tmp_path, capsys):
+    path = tmp_path / "g.edges"
+    path.write_text("# n=4\n0 1\n\n1 7\n")
+    code = main(["verify", "--graph", str(path), "--leaders", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: line 4: vertex 7 out of range for graph on 4 nodes\n"
+    assert captured.out == ""
+
+
 def test_verify_reports_missing_edges(tmp_path, capsys):
     # the bare layered skeleton forces fine but admits many more edges
     path = write_graph(tmp_path, build_g1(12, 3, 4).graph)

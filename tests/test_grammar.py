@@ -41,6 +41,18 @@ from zfnets.graph import Graph
 from zfnets.zero_forcing import is_zfs
 
 
+def test_labels_are_values():
+    assert Label(BETA, 1, 2) == Label(BETA, 1, 2)
+    assert hash(Label(BETA, 1, 2)) == hash(Label(BETA, 1, 2))
+    assert Label(ALPHA) == Label(ALPHA, None, None)
+    assert Label(LEADER, 1) != Label(LEADER, 1, 0)
+    assert repr(Label(BETA, 1, 2)) == "Label(kind='beta', i=1, j=2)"
+    label = Label(LEADER, 1)
+    with pytest.raises(AttributeError):
+        label.i = 2
+    assert label == Label(LEADER, 1)
+
+
 def test_label_text_forms():
     assert str(Label(ALPHA)) == "a"
     assert str(Label(SEED, 1)) == "S1"
@@ -223,6 +235,19 @@ def test_step_budget_guards_against_runaway():
         run_to_fixpoint(initial_state(8), grammar_r2(8, 2), seed=0, max_steps=3)
 
 
+def test_step_budget_applies_no_step_beyond_it():
+    seen = []
+    with pytest.raises(NonConvergenceError, match="^no fixpoint after 5 steps \\(n=12\\)$"):
+        run_to_fixpoint(initial_state(12), grammar_r1(3, 4), seed=1, max_steps=5,
+                        on_step=lambda i, state, match: seen.append(i))
+    assert seen == [1, 2, 3, 4, 5]
+    # the unbounded run takes 34 steps, so a budget of 34 is enough
+    _, schedule = run_to_fixpoint(initial_state(12), grammar_r1(3, 4), seed=1)
+    assert len(schedule.steps) == 34
+    _, bounded = run_to_fixpoint(initial_state(12), grammar_r1(3, 4), seed=1, max_steps=34)
+    assert bounded == schedule
+
+
 def test_edge_count_grows_monotonically():
     counts = []
     run_to_fixpoint(
@@ -366,6 +391,26 @@ def test_match_index_equals_rescan_on_every_step(monkeypatch, make_rules, n, pre
         calls.clear()
         _, schedule = run_to_fixpoint(initial_state(n), rules, seed=seed, prefer_phase=prefer)
         assert len(calls) == len(schedule.steps) + 1
+
+
+@pytest.mark.parametrize("make_rules", [lambda: grammar_r1(4, 24), lambda: grammar_r2(96, 4)],
+                         ids=["r1", "r2"])
+def test_match_index_rechecks_few_bindings_that_do_not_change(monkeypatch, make_rules):
+    # Candidates are pruned by kind and guard, so nearly every recheck
+    # changes the binding's entry in the index.
+    recheck = grammar._MatchIndex._recheck
+    calls, changes = [], []
+
+    def counted(index, r, nodes):
+        before = index.effects[r].get(nodes)
+        recheck(index, r, nodes)
+        calls.append(1)
+        if index.effects[r].get(nodes) != before:
+            changes.append(1)
+
+    monkeypatch.setattr(grammar._MatchIndex, "_recheck", counted)
+    run_to_fixpoint(initial_state(96), make_rules(), seed=5)
+    assert len(calls) <= 1.1 * len(changes), (len(calls), len(changes))
 
 
 def _random_labeled_graph(rng, n: int) -> LabeledGraph:

@@ -167,6 +167,24 @@ def test_edge_list_reader_rejects_malformed_lines():
         from_edge_list_text("0 1\n0 1 2\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("0 1\n1 x\n", "line 2: invalid literal for int() with base 10: 'x'"),
+    ("0 1\n\n2 2\n", "line 3: self-loop at vertex 2 is not allowed"),
+    ("# n=4\n0 1\n1 7\n", "line 3: vertex 7 out of range for graph on 4 nodes"),
+    ("# n=four\n0 1\n", "line 1: invalid literal for int() with base 10: 'four'"),
+    ("0 1\n-1 2\n", "line 2: vertex -1 out of range for graph on 3 nodes"),
+], ids=["bad-id", "self-loop", "out-of-range", "bad-header", "negative-id"])
+def test_edge_list_reader_names_the_line_at_fault(text, message):
+    with pytest.raises(ValueError) as info:
+        from_edge_list_text(text)
+    assert str(info.value) == message
+
+
+def test_edge_list_reader_blames_no_line_for_a_negative_count():
+    with pytest.raises(ValueError, match="^vertex count must be non-negative, got -3$"):
+        from_edge_list_text("0 1\n", n=-3)
+
+
 def test_export_dot_marks_leaders_and_isolated_nodes():
     g = Graph(3, [(0, 1)])
     text = export_dot(g, LeaderSet((0,)), {0: "L1", 1: "u_1", 2: "u_2"})
