@@ -24,11 +24,10 @@ _EXPORTS = {
     "grammar": (
         "Label", "LabeledGraph", "Match", "NonConvergenceError", "Rule", "Schedule",
         "applicable_matches", "grammar_r1", "grammar_r2", "initial_state",
-        "label_isomorphic", "replay", "run_to_fixpoint", "step",
+        "label_isomorphic", "replay", "run_to_fixpoint",
     ),
     "robustness": (
-        "ConvergenceError", "SpectrumReport", "SweepRow", "algebraic_connectivity",
-        "kirchhoff_index", "spectrum", "sweep", "sweep_csv",
+        "ConvergenceError", "SpectrumReport", "SweepRow", "spectrum", "sweep", "sweep_csv",
     ),
     "ssc": ("SSCReport", "SystemRealization", "randomized_ssc_check", "sample_realization"),
     "zero_forcing": (

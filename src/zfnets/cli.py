@@ -37,8 +37,8 @@ def _resolve_out(arg: str | None, default_name: str) -> Path:
     return Path(arg) if arg else Path(os.environ.get(OUT_DIR_ENV, ".")) / default_name
 
 
-def _read_graph(path: str, n: int | None = None) -> Graph:
-    return from_edge_list_text(Path(path).read_text(), n=n)
+def _read_graph(path: str) -> Graph:
+    return from_edge_list_text(Path(path).read_text())
 
 
 def _parse_id_list(text: str) -> tuple[int, ...]:
@@ -79,18 +79,15 @@ def _with_ext(prefix: Path, ext: str) -> Path:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
+    flags = (("--family", args.family), ("--nodes", args.nodes),
+             ("--leaders", args.leaders), ("--diameter", args.diameter))
     if args.config:
+        given = [name for name, value in flags if value is not None]
+        if given:
+            raise ValueError(f"--config cannot be combined with {', '.join(given)}")
         spec = cons.parse_construction_config(Path(args.config).read_text())
     else:
-        missing = [
-            name
-            for name, value in (
-                ("--family", args.family),
-                ("--nodes", args.nodes),
-                ("--leaders", args.leaders),
-            )
-            if value is None
-        ]
+        missing = [name for name, value in flags[:3] if value is None]
         if missing:
             raise ValueError(f"construct needs {', '.join(missing)} (or --config)")
         spec = cons.ConstructionSpec(args.family, args.nodes, args.leaders, args.diameter)
@@ -113,7 +110,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    g = _read_graph(args.graph, n=args.nodes)
+    g = _read_graph(args.graph)
     leaders = LeaderSet(_parse_id_list(args.leaders))
     zfs, unique, scan = _verify(g, leaders)
     print(f"zfs: {'yes' if zfs else 'no'}")
@@ -129,7 +126,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    g = _read_graph(args.graph, n=args.nodes)
+    g = _read_graph(args.graph)
     report = rob.spectrum(g)
     print(f"n: {report.n}")
     print(f"edges: {g.edge_count()}")
@@ -210,7 +207,7 @@ def cmd_grammar(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     from . import ssc
 
-    g = _read_graph(args.graph, n=args.nodes)
+    g = _read_graph(args.graph)
     leaders = LeaderSet(_parse_id_list(args.leaders))
     report = ssc.randomized_ssc_check(g, leaders, trials=args.trials, seed=args.seed)
     print(report.summary())
@@ -241,12 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check ZFS, unique process, and maximality")
     p.add_argument("--graph", required=True, help="edge-list file")
     p.add_argument("--leaders", required=True, help="comma-separated leader ids")
-    p.add_argument("--nodes", type=int, help="override node count")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("spectrum", help="Laplacian spectrum and robustness metrics")
     p.add_argument("--graph", required=True, help="edge-list file")
-    p.add_argument("--nodes", type=int, help="override node count")
     p.add_argument("--eigenvalues", action="store_true", help="print the full spectrum")
     p.set_defaults(func=cmd_spectrum)
 
@@ -274,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="randomized controllability cross-check")
     p.add_argument("--graph", required=True, help="edge-list file")
     p.add_argument("--leaders", required=True, help="comma-separated leader ids")
-    p.add_argument("--nodes", type=int, help="override node count")
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="per-trial CSV output path")

@@ -435,17 +435,6 @@ def _applicable(state: LabeledGraph, rule: Rule, nodes: tuple[int, ...]) -> bool
             and all(0 <= v < state.graph.n for v in nodes) and _binding_ok(state, rule, nodes))
 
 
-def step(state: LabeledGraph, match: Match) -> LabeledGraph:
-    """Apply one match, returning the successor state; stale matches raise."""
-    if not _applicable(state, match.rule, match.nodes):
-        raise ValueError(
-            f"stale or invalid binding: rule {match.rule.name} on nodes {match.nodes}"
-        )
-    nxt = state.copy()
-    _rewrite(nxt, _match_effect(nxt, match.rule, match.nodes))
-    return nxt
-
-
 _M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 

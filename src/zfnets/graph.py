@@ -64,10 +64,6 @@ class Graph:
         self._check_vertex(v)
         return self._adj[v]
 
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return len(self._adj[v])
-
     def edge_count(self) -> int:
         return sum(len(a) for a in self._adj) // 2
 
@@ -101,11 +97,6 @@ class Graph:
                     dist[y] = dist[x] + 1
                     queue.append(y)
         return dist
-
-    def distance(self, u: int, v: int) -> int | None:
-        """Length of a shortest u-v path, or None if disconnected."""
-        self._check_vertex(v)
-        return self.distances_from(u)[v]
 
     def is_connected(self) -> bool:
         if self.n == 0:
@@ -210,15 +201,16 @@ def to_edge_list_text(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def from_edge_list_text(text: str, n: int | None = None) -> Graph:
+def from_edge_list_text(text: str) -> Graph:
     """Parse the format written by to_edge_list_text.
 
-    Blank lines are skipped.  '# n=<count>' fixes the vertex count; other
-    comment lines are ignored.  Without a header (or explicit n), the count
-    is max id + 1.  A bad line raises ValueError('line <k>: ...').
+    Blank lines are skipped.  One '# n=<count>' header fixes the vertex
+    count; other comment lines are ignored.  Without a header the count is
+    max id + 1.  A bad line, a negative count or a second header raises
+    ValueError('line <k>: ...').
     """
     edges: list[tuple[int, int, int]] = []
-    header_n: int | None = None
+    n: int | None = None
     try:
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
@@ -227,7 +219,11 @@ def from_edge_list_text(text: str, n: int | None = None) -> Graph:
             if line.startswith("#"):
                 body = line[1:].strip()
                 if body.startswith("n="):
-                    header_n = int(body[2:])
+                    if n is not None:
+                        raise ValueError(f"repeated '# n=' header (first on line {header_line})")
+                    n, header_line = int(body[2:]), lineno
+                    if n < 0:
+                        raise ValueError(f"vertex count must be non-negative, got {n}")
                 continue
             parts = line.split()
             if len(parts) != 2:
@@ -235,8 +231,6 @@ def from_edge_list_text(text: str, n: int | None = None) -> Graph:
             edges.append((int(parts[0]), int(parts[1]), lineno))
     except ValueError as exc:
         raise ValueError(f"line {lineno}: {exc}") from None
-    if n is None:
-        n = header_n
     if n is None:
         n = 1 + max((max(u, v) for u, v, _ in edges), default=-1)
     g = Graph(n)

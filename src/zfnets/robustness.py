@@ -56,15 +56,6 @@ def spectrum(g: Graph) -> SpectrumReport:
     return SpectrumReport(tuple(float(x) for x in ev), lambda2, kirchhoff, g.n)
 
 
-def algebraic_connectivity(g: Graph) -> float:
-    return spectrum(g).lambda2
-
-
-def kirchhoff_index(g: Graph) -> float:
-    """Kirchhoff index; +inf for disconnected graphs."""
-    return spectrum(g).kirchhoff
-
-
 @dataclass(frozen=True)
 class SweepRow:
     family: str

@@ -32,10 +32,6 @@ class ForcingTrace:
     steps: tuple[tuple[int, int], ...]
     derived: frozenset[int]
 
-    @property
-    def forced_sequence(self) -> tuple[int, ...]:
-        return tuple(u for _, u in self.steps)
-
     def to_text(self) -> str:
         """One 'FORCE forcer forced' line per step (golden-file friendly)."""
         return "".join(f"FORCE {v} {u}\n" for v, u in self.steps)

@@ -120,6 +120,20 @@ def test_construct_config_with_a_repeated_key_exits_2(tmp_path, capsys):
     assert not (tmp_path / "net.edges").exists()
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--family", "g2bar", "--nodes", "40", "--leaders", "5"], "--family, --nodes, --leaders"),
+    (["--diameter", "4"], "--diameter"),
+], ids=["family-nodes-leaders", "diameter"])
+def test_construct_config_excludes_the_spec_flags(tmp_path, capsys, flags, named):
+    cfg = tmp_path / "net.cfg"
+    cfg.write_text("family = g1bar\nn = 12\nnl = 3\nd = 4\n")
+    code = main(["construct", "--config", str(cfg), *flags, "--out", str(tmp_path / "net")])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: --config cannot be combined with {named}\n"
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_construct_self_check_failure_exits_3(tmp_path, capsys, monkeypatch):
     diameter = Graph.diameter
     monkeypatch.setattr(Graph, "diameter", lambda g: diameter(g) + 1)
@@ -184,6 +198,23 @@ def test_verify_names_the_edge_list_line_at_fault(tmp_path, capsys):
     assert code == 2
     assert captured.err == "error: line 4: vertex 7 out of range for graph on 4 nodes\n"
     assert captured.out == ""
+
+
+def test_graph_commands_take_the_node_count_from_the_header(tmp_path, capsys):
+    # a 10-node g1bar whose header claims 12 nodes: the two extra nodes are
+    # isolated, so the leaders cannot force them
+    text = to_edge_list_text(build_g1_bar(10, 2, 5).graph)
+    path = tmp_path / "g.edges"
+    path.write_text(text.replace("# n=10\n", "# n=12\n", 1))
+    code, out = run(capsys, "verify", "--graph", str(path), "--leaders", "0,1")
+    assert code == 3
+    assert out.splitlines()[:1] == ["zfs: no"]
+    for argv in (["verify", "--leaders", "0,1"], ["spectrum"], ["oracle", "--leaders", "0,1"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--graph", str(path), "--nodes", "10"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments: --nodes 10" in captured.err
 
 
 def test_verify_reports_missing_edges(tmp_path, capsys):

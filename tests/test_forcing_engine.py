@@ -145,7 +145,7 @@ def test_zfs_edge_bound(seed, n, p):
         for x, y in trace.steps:
             word.append(ends.index(x))
             ends[word[-1]] = y
-        new_id = {v: i for i, v in enumerate(sorted(leaders) + list(trace.forced_sequence))}
+        new_id = {v: i for i, v in enumerate(sorted(leaders) + [u for _, u in trace.steps])}
         assert cons.build_word(k, word) == Graph(n, ((new_id[u], new_id[v]) for u, v in g.edges()))
 
 
@@ -162,7 +162,7 @@ def test_every_forcing_word_builds_a_maximal_zfs_graph(k_word):
     g = cons.build_word(k, word)
     n = g.n
     leaders = LeaderSet(tuple(range(k)))
-    assert derived_set(g, leaders).forced_sequence == tuple(range(k, n))
+    assert tuple(u for _, u in derived_set(g, leaders).steps) == tuple(range(k, n))
     assert g.edge_count() == _edge_bound(n, k)
     assert is_maximal_for_zfs(g, leaders) == (True, [])
     if n <= 12:

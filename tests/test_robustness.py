@@ -15,8 +15,6 @@ from zfnets.graph import Graph, complete_graph, path_graph
 from zfnets.robustness import (
     CSV_HEADER,
     SweepRow,
-    algebraic_connectivity,
-    kirchhoff_index,
     spectrum,
     sweep,
     sweep_csv,
@@ -110,8 +108,8 @@ def test_spectrum_report_fields():
     rep = spectrum(g)
     assert rep.n == 4 and len(rep.eigenvalues) == 4
     assert rep.lambda2 == pytest.approx(2.0 - math.sqrt(2.0), abs=1e-10)
-    assert algebraic_connectivity(g) == rep.lambda2
-    assert kirchhoff_index(g) == rep.kirchhoff
+    # P_n: Kf = n(n^2 - 1)/6
+    assert rep.kirchhoff == pytest.approx(10.0, abs=1e-9)
 
 
 def test_spectrum_edge_cases():

@@ -57,7 +57,7 @@ def test_derived_set_trace_replays():
     trace = derived_set(g, {0, 1, 2})
     validate_trace(g, trace)
     assert trace.initial_black == frozenset({0, 1, 2})
-    assert set(trace.forced_sequence) | trace.initial_black == trace.derived
+    assert {u for _, u in trace.steps} | trace.initial_black == trace.derived
 
 
 def test_trace_text_format():
@@ -110,7 +110,7 @@ def test_g2_forcing_order_is_the_follower_chain():
     # the follower path must turn black strictly in chain order
     net = build_g2_bar(12, 3)
     trace = derived_set(net.graph, net.leaders)
-    assert trace.forced_sequence == tuple(range(3, 12))
+    assert tuple(u for _, u in trace.steps) == tuple(range(3, 12))
 
 
 def test_unique_process_cases():
