@@ -55,14 +55,17 @@ def _parse_int_values(text: str) -> list[int]:
         part = part.strip()
         if not part:
             continue
-        if "-" in part[1:]:
-            lo_text, hi_text = part.split("-", 1)
-            lo, hi = int(lo_text), int(hi_text)
-            if hi < lo:
-                raise ValueError(f"empty range {part!r}")
-            values.update(range(lo, hi + 1))
-        else:
-            values.add(int(part))
+        try:
+            if "-" in part[1:]:
+                lo_text, hi_text = part.split("-", 1)
+                lo, hi = int(lo_text), int(hi_text)
+            else:
+                lo = hi = int(part)
+        except ValueError as exc:
+            raise ValueError(f"expected leader counts such as 2-10 or 2,3,5, got {text!r}") from exc
+        if hi < lo:
+            raise ValueError(f"empty range {part!r}")
+        values.update(range(lo, hi + 1))
     if not values:
         raise ValueError(f"no values in {text!r}")
     return sorted(values)

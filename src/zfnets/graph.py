@@ -104,34 +104,92 @@ class Graph:
         return all(d is not None for d in self.distances_from(0))
 
     def diameter(self) -> int:
-        """Largest shortest-path distance; raises GraphDisconnectedError.
+        """Largest shortest-path distance D; raises GraphDisconnectedError.
 
-        All sources advance together on int bitsets: after r rounds, reach[v]
-        holds the nodes within distance r of v, and a round ORs each node's
-        neighbours' masks into its own.  The diameter is the number of rounds
-        until every mask is full; a round that changes no mask means some
-        pair is unreachable.
+        Work is on int bitsets.  nbr[v] is v's closed neighbourhood, and
+        levels(s), a BFS that ORs one nbr mask per node (n bit steps), gives
+        one mask per distance from s, so ecc(s) = len(levels(s)) - 1.
+
+        Exactness (Takes and Kosters, 2011).  lb is the largest eccentricity
+        measured, so lb <= D.  For a measured root r, ecc(w) <= ecc(r) +
+        d(r, w), so every w within lb - ecc(r) of r has ecc(w) <= lb and is
+        decided.  The first roots are node 0, a node a farthest from it, a
+        node b farthest from a, and a highest-degree node halfway along a
+        shortest a-b path.  Each node still undecided is then measured, which
+        may raise lb and decides the nodes near it.  At the end every node is
+        measured or has ecc <= lb, so D = lb.
+
+        Cost.  When more nodes are undecided than lb, all sources advance
+        together instead: after r rounds reach[v] holds the nodes within r of
+        v (nbr is round 1), and D is the number of rounds until every mask is
+        full, about D rounds of n bit steps.  The graph is connected by then,
+        so every round grows a mask.  The BFS path runs at most lb <= D more
+        BFS of n bit steps, so it never costs more than the rounds.
         """
-        if self.n == 0:
+        n = self.n
+        if n == 0:
             raise GraphDisconnectedError("diameter of the empty graph is undefined")
-        full = (1 << self.n) - 1
-        reach = [1 << v for v in range(self.n)]
-        pending = [v for v in range(self.n) if reach[v] != full]
-        rounds = 0
-        while pending:
-            grown = []
-            for v in pending:
-                mask = reach[v]
-                for u in self._adj[v]:
-                    mask |= reach[u]
-                grown.append(mask)
-            if all(mask == reach[v] for v, mask in zip(pending, grown)):
+        full = (1 << n) - 1
+        bit = [1 << v for v in range(n)]
+        nbr = []
+        for v, adj in enumerate(self._adj):
+            mask = bit[v]
+            for u in adj:
+                mask |= bit[u]
+            nbr.append(mask)
+        if n == 1:
+            return 0
+        if full in nbr:  # a dominating node
+            return 1 if nbr.count(full) == n else 2
+
+        def levels(s: int) -> list[int]:
+            seen = frontier = bit[s]
+            out = []
+            while frontier:
+                out.append(frontier)
+                grown = 0
+                while frontier:
+                    v = frontier.bit_length() - 1
+                    grown |= nbr[v]
+                    frontier ^= bit[v]
+                frontier = grown & ~seen
+                seen |= frontier
+            if seen != full:
                 raise GraphDisconnectedError("diameter undefined: graph is disconnected")
-            for v, mask in zip(pending, grown):
-                reach[v] = mask
-            pending = [v for v in pending if reach[v] != full]
-            rounds += 1
-        return rounds
+            return out
+
+        # a mask's highest node id stands for "a node" of it throughout
+        from_0 = levels(0)
+        from_a = levels(from_0[-1].bit_length() - 1)
+        d_ab = len(from_a) - 1
+        from_b = levels(from_a[-1].bit_length() - 1)
+        mid = from_a[d_ab // 2] & from_b[d_ab - d_ab // 2]
+        roots = [from_0, from_a, from_b, levels(max(
+            (v for v in range(n) if mid >> v & 1), key=lambda v: len(self._adj[v])))]
+        lb = max(map(len, roots)) - 1
+        undecided = full
+        for lv in roots:  # levels are disjoint, so a sum of them is their union
+            undecided &= ~sum(lv[:lb - len(lv) + 2])
+        if undecided.bit_count() > lb:
+            reach, rounds = nbr, 1
+            pending = [v for v in range(n) if reach[v] != full]
+            while pending:
+                grown = []
+                for v in pending:
+                    mask = reach[v]
+                    for u in self._adj[v]:
+                        mask |= reach[u]
+                    grown.append(mask)
+                for v, mask in zip(pending, grown):
+                    reach[v] = mask
+                pending = [v for v in pending if reach[v] != full]
+                rounds += 1
+            return rounds
+        while undecided:
+            lv = levels(undecided.bit_length() - 1)
+            lb = max(lb, len(lv) - 1)
+            undecided &= ~sum(lv[:lb - len(lv) + 2])
+        return lb
 
     def laplacian(self) -> np.ndarray:
         """Combinatorial Laplacian L = D - A as a dense float array."""

@@ -81,13 +81,14 @@ def sweep(
     Each point is built at cons.default_d unless g3_d fixes the g3bar
     diameter.  Points ConstructionSpec rejects (e.g. non-divisor leader
     counts for the layered family) are skipped and described in the
-    returned notes list.
+    returned notes list.  A family (under any alias) or a leader count
+    named again adds no second row.
     """
+    families = list(dict.fromkeys(map(cons.normalize_family, families)))
     rows: list[SweepRow] = []
     notes: list[str] = []
-    for k in leader_values:
+    for k in dict.fromkeys(leader_values):
         for family in families:
-            family = cons.normalize_family(family)
             d = cons.default_d(family, n, k)
             if family == cons.G3_BAR and g3_d is not None:
                 d = g3_d

@@ -271,6 +271,27 @@ def test_sweep_default_filename(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "sweep_n12.csv").exists()
 
 
+def test_sweep_writes_one_row_per_repeated_family(tmp_path, capsys):
+    for families, name in (("g1bar,g1_bar,G1BAR", "repeated.csv"), ("g1bar", "once.csv")):
+        code, _ = run(capsys, "sweep", "--nodes", "12", "--leaders", "3",
+                      "--families", families, "--out", str(tmp_path / name))
+        assert code == 0
+    text = (tmp_path / "repeated.csv").read_text()
+    assert text == (tmp_path / "once.csv").read_text()
+    assert len(text.splitlines()) == 2
+
+
+@pytest.mark.parametrize("leaders", ["2-", "1-3-5", "x"])
+def test_sweep_leader_parse_errors_name_the_input(tmp_path, capsys, leaders):
+    out = tmp_path / "table.csv"
+    code = main(["sweep", "--nodes", "12", f"--leaders={leaders}", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == (
+        f"error: expected leader counts such as 2-10 or 2,3,5, got '{leaders}'\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("nodes", ["0", "-5"])
 def test_sweep_rejects_non_positive_nodes(tmp_path, capsys, nodes):
     out = tmp_path / "table.csv"

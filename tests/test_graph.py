@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zfnets.constructions import ConstructionSpec, InfeasibleSpecError, build
 from zfnets.graph import (
     Graph,
     GraphDisconnectedError,
@@ -64,6 +65,19 @@ def test_edges_sorted_lexicographically():
     assert g.edges() == [(0, 1), (0, 3), (2, 3)]
 
 
+@st.composite
+def long_graphs(draw, max_n=40):
+    """A random tree or path plus a few chords: long, sparse and connected."""
+    n = draw(st.integers(2, max_n))
+    path = draw(st.booleans())
+    g = Graph(n, ((v, v - 1 if path else draw(st.integers(0, v - 1))) for v in range(1, n)))
+    for _ in range(draw(st.integers(0, 3))):
+        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if u != v:
+            g.add_edge(u, v)
+    return g
+
+
 @given(graphs())
 def test_edges_plus_non_edges_cover_all_pairs(g):
     n_pairs = g.n * (g.n - 1) // 2
@@ -84,6 +98,19 @@ def test_distance_and_diameter_on_known_graphs():
         two.diameter()
     with pytest.raises(GraphDisconnectedError):
         Graph(0).diameter()
+
+
+# the id names the path diameter() takes on each graph
+@pytest.mark.parametrize("g, d", [
+    (complete_graph(8), 1),
+    (Graph(8, ((0, v) for v in range(1, 8))), 2),
+    (path_graph(30), 29),
+    (Graph(10, ((v, (v + 1) % 10) for v in range(10))), 5),
+    (Graph(8, (e for e in combinations(range(8), 2) if e[1] != e[0] + 1 or e[0] % 2)), 2),
+], ids=["complete-dominating", "star-dominating", "path-bounds", "cycle-rounds",
+        "cocktail-party-rounds"])
+def test_diameter_on_each_path(g, d):
+    assert g.diameter() == d == max(max(g.distances_from(s)) for s in range(g.n))
 
 
 def test_single_node_graph():
@@ -113,8 +140,8 @@ def test_laplacian_positive_semidefinite_quadratic_form(g, seed):
         assert x @ lap @ x >= -1e-9
 
 
-@given(st.one_of(graphs(max_n=14), graphs(max_n=14, connected=True)))
-@settings(max_examples=80)
+@given(st.one_of(graphs(max_n=14), graphs(max_n=14, connected=True), long_graphs()))
+@settings(max_examples=120)
 def test_diameter_matches_per_source_bfs(g):
     dists = [d for s in range(g.n) for d in g.distances_from(s)]
     if None in dists:
@@ -122,6 +149,29 @@ def test_diameter_matches_per_source_bfs(g):
             g.diameter()
     else:
         assert g.diameter() == max(dists)
+
+
+def test_family_diameters_match_per_source_bfs():
+    def want(family, k, d):
+        if family == "g2bar":
+            return 2
+        if k == 1:  # one leader leaves the path P_n
+            return d - 1
+        return 2 * d - 1 if family == "g1" else d  # g1 goes through the leader clique
+
+    builds = 0
+    for n in range(1, 41):
+        for k in range(1, n + 1):
+            for family, d in [("g2bar", None)] + [
+                    (f, d) for f in ("g1", "g1bar", "g3bar") for d in range(1, n + 1)]:
+                try:
+                    g = build(ConstructionSpec(family, n, k, d)).graph
+                except InfeasibleSpecError:
+                    continue
+                builds += 1
+                assert g.diameter() == want(family, k, d) == max(
+                    max(g.distances_from(s)) for s in range(n)), (family, n, k, d)
+    assert builds > 2000
 
 
 @given(graphs(connected=True))

@@ -169,6 +169,14 @@ def test_sweep_rows_and_notes():
         assert row.kirchhoff > 0
 
 
+def test_sweep_runs_each_family_once_in_first_order():
+    # one-shot iterators, so every leader count must see every family
+    rows, _ = sweep(12, families=iter(["g3bar", "g1bar", "g1_bar", "G3-BAR", "G1BAR"]),
+                    leader_values=iter([2, 3, 2]))
+    assert [(r.family, r.n_leaders) for r in rows] == [
+        ("g3bar", 2), ("g1bar", 2), ("g3bar", 3), ("g1bar", 3)]
+
+
 def test_sweep_rows_match_direct_measurement():
     rows, _ = sweep(12, families=["g1bar", "g2bar"], leader_values=[3])
     by_family = {r.family: r for r in rows}
