@@ -107,7 +107,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         _write(_with_ext(prefix, ".layout"), layout_text)
     print(
         f"family={spec.family} n={spec.n} leaders={spec.n_leaders} "
-        f"edges={net.graph.edge_count()} diameter={net.graph.diameter()}"
+        f"edges={net.graph.edge_count()} diameter={net.diameter}"
     )
     return EXIT_OK
 

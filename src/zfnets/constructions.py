@@ -161,11 +161,13 @@ def parse_construction_config(text: str) -> ConstructionSpec:
 
 @dataclass(frozen=True)
 class ConstructedNetwork:
-    """A built graph with its leader set and per-node role tags."""
+    """A built graph with its leader set, measured diameter and per-node role
+    tags."""
 
     spec: ConstructionSpec
     graph: Graph
     leaders: LeaderSet
+    diameter: int
     layout: dict[int, str] = field(compare=False)
 
     def __post_init__(self):
@@ -267,8 +269,8 @@ def build(spec: ConstructionSpec) -> ConstructedNetwork:
 
     g1 is the leader clique plus k paths.  The bar families are the forcing
     words of the module docstring, and g2bar is g3bar's word at d = 2 with
-    its tail tagged u_ instead of v_.  A g3bar build must measure its
-    requested diameter.
+    its tail tagged u_ instead of v_.  The diameter is measured here, once
+    per build, and a g3bar build must measure its requested diameter.
     """
     family, n, k, d = spec.family, spec.n, spec.n_leaders, spec.d
     if family == G1:
@@ -286,13 +288,12 @@ def build(spec: ConstructionSpec) -> ConstructedNetwork:
         layout = _layered_layout(k, d - 2)
         tail = "u" if family == G2_BAR else "v"
         layout.update({v: f"{tail}_{v - start + 1}" for v in range(start, n)})
-    if family == G3_BAR:
-        measured = g.diameter()
-        if measured != d:
-            raise ConstructionMismatchError(
-                f"built {family} graph has diameter {measured}, expected {d}"
-            )
-    return ConstructedNetwork(spec, g, LeaderSet(tuple(range(k))), layout)
+    measured = g.diameter()
+    if family == G3_BAR and measured != d:
+        raise ConstructionMismatchError(
+            f"built {family} graph has diameter {measured}, expected {d}"
+        )
+    return ConstructedNetwork(spec, g, LeaderSet(tuple(range(k))), measured, layout)
 
 
 # Shorthands for build(ConstructionSpec(...)).

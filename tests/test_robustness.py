@@ -117,10 +117,20 @@ def test_spectrum_edge_cases():
     assert single.lambda2 == math.inf and single.kirchhoff == 0.0
     two_parts = Graph(4, [(0, 1), (2, 3)])
     rep = spectrum(two_parts)
-    assert rep.lambda2 == pytest.approx(0.0, abs=1e-10)
+    assert rep.lambda2 == 0.0
     assert rep.kirchhoff == math.inf
     empty = spectrum(Graph(3))
-    assert empty.kirchhoff == math.inf
+    assert empty.lambda2 == 0.0 and empty.kirchhoff == math.inf
+    # LAPACK can put a split graph's second eigenvalue a hair above zero
+    split = spectrum(Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)]))
+    assert split.lambda2 == 0.0 and split.kirchhoff == math.inf
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(1, 14), st.sampled_from([0.1, 0.2, 0.3, 0.5]))
+@settings(max_examples=150, deadline=None)
+def test_lambda2_is_positive_iff_connected(seed, n, p):
+    g = random_graph(np.random.default_rng(seed), n, p)
+    assert (spectrum(g).lambda2 > 0) == g.is_connected()
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -175,6 +185,14 @@ def test_sweep_runs_each_family_once_in_first_order():
                     leader_values=iter([2, 3, 2]))
     assert [(r.family, r.n_leaders) for r in rows] == [
         ("g3bar", 2), ("g1bar", 2), ("g3bar", 3), ("g1bar", 3)]
+
+
+def test_sweep_measures_each_row_diameter_once(monkeypatch):
+    calls = []
+    diameter = Graph.diameter
+    monkeypatch.setattr(Graph, "diameter", lambda g: calls.append(g.n) or diameter(g))
+    rows, _ = sweep(60)
+    assert len(rows) == len(calls) == 24
 
 
 def test_sweep_rows_match_direct_measurement():
