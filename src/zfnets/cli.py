@@ -287,6 +287,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help()
         return EXIT_INFEASIBLE
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except cons.InfeasibleSpecError as exc:
         print(f"error: infeasible spec: {exc}", file=sys.stderr)

@@ -19,23 +19,29 @@ between the two chain-start labels (GAMMA(i,1) -> BETA(i,1) in R1, BETA(1)
 -> GAMMA(1) in R2).  So on every state reachable from `initial_state` the
 two tests agree, and every seed keeps its schedule.
 
-A run keeps a match index: the full scan builds it once, and after each
-rewrite it rechecks only the bindings the rewrite can have changed.  Guards
-and relabels must be pure functions of the two labels, so a binding's
-verdict (`_binding_ok`) reads only its nodes' labels and, for a connect
-rule, whether the bound pair is an edge; its effect key reads only its
-nodes and their labels.  A rewrite adds at most the edge ab and relabels at
-most a and b, so a verdict or key can change only for
+A run keeps a match index: per rule, one row per node v, holding the
+sorted partners u of the listed bindings (v, u).  Guards and relabels must
+be pure functions of the two labels, so whether a binding passes reads only
+its nodes' labels and, for a connect rule, whether the bound pair is an
+edge; its effect key reads only its nodes and their labels.  A full scan
+lists the first binding of each effect key in (v, u) order.  When the key
+names both bound nodes (the rule connects them, or relabels both), only the
+reverse binding can share it, and whether it does reads the two labels
+alone.  So (v, u) with u < v is left out exactly when (u, v) passes and has
+the same effect (`_mirrored`), and whether a binding is listed reads only
+its own pair.  A rewrite adds at most the edge ab and relabels at most a
+and b, so for such a rule a listing can change only for
 - a binding that holds a relabelled node;
 - the binding (a, b) or (b, a) of a connect rule, whose edge now exists.
-The index lists a relabelled node's candidates (the bindings that hold it
-and pass their kinds and guard) under the old labels before the rewrite
-and under the new labels after it, and rechecks both lists and the new
-edge's bindings.  A binding that holds a relabelled node but is in neither
-list fails its kinds or guard under both labellings, so it was not
-applicable before the rewrite and is not after it.  So the index lists the
-same matches in the same order as a full scan, and a seed gives the same
-schedule whichever way the matches are found.
+The index rebuilds each relabelled node's own rows, takes the node out of
+the rows whose guard admits its old label and puts it into those whose
+guard admits its new one (a row whose guard admits neither did not list it
+and does not), and drops the new edge from its endpoints' rows.  A rule
+whose key omits a bound node (neither R1 nor R2 has one) keeps the first
+binding of each key as its rows are built in v order, and its rows are
+rebuilt after every rewrite that relabels a node.  So the rows in v order
+list the same matches in the same order as a full scan, and a seed gives
+the same schedule whichever way the matches are found.
 
 The scheduler draws from `_Pcg64`, zfnets' own PCG64 stream, equal to numpy
 2.4.6's `default_rng(seed).integers(total)` draw for draw.  NumPy does not
@@ -44,7 +50,8 @@ promise to keep its stream (NEP 19); owning it keeps every seed's `.trace`.
 from __future__ import annotations
 
 import operator
-from bisect import bisect_left, insort
+from itertools import accumulate
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -293,120 +300,168 @@ def _positions(rules: list[Rule]) -> dict[str, int]:
     return position
 
 
-class _MatchIndex:
-    """Applicable bindings of every rule, kept current as one run rewrites.
+def _names_both(rule: Rule) -> bool:
+    """Whether a binding's effect key names every node the binding holds."""
+    if rule.right is None:
+        return rule.relabel_left is not None
+    return rule.connect or None not in (rule.relabel_left, rule.relabel_right)
 
-    Per rule it holds each applicable binding with its effect key, the
-    bindings grouped by effect key, and the listed bindings: the smallest
-    binding of each group, in (v, u) order, which is the order the full
-    scan meets them in.  Nodes are kept by kind and then by label, so a
-    guard runs once per partner label, not once per partner.  `apply`
-    rewrites the state and rechecks only the bindings the rewrite can have
-    changed (see the module docstring for why no other verdict or key
-    moves).  Rule names must be unique within the rule list; `_positions`
-    checks that here and in `replay`.
+
+def _mirrored(rule: Rule, la: Label, lb: Label) -> bool:
+    """Whether the reverse of a binding labelled (la, lb) passes its kinds
+    and guard and has the same effect (the edge and relabels are symmetric)."""
+    if (lb.kind, la.kind) != (rule.left, rule.right) or not rule.guard(lb, la):
+        return False
+    rl, rr = rule.relabel_left, rule.relabel_right
+    if rl is None and rr is None:
+        return True
+    return (rl is not None and rr is not None
+            and rl(la, lb) == rr(lb, la) and rr(la, lb) == rl(lb, la))
+
+
+class _MatchIndex:
+    """Listed bindings of every rule, kept current as one run rewrites.
+
+    Per rule, `rows[r][v]` holds the sorted partners u of the listed
+    bindings (v, u), or [v] for a listed one-node binding, so the rows in v
+    order are the full scan's listing.  Nodes are kept by kind and then by
+    label in sorted lists, and a row is built with one guard call per
+    partner label.  A binding whose reverse comes first with the same
+    effect is left out by the two labels alone (`_mirrored`), so for a rule
+    whose key names both bound nodes a binding's listing reads only its
+    pair, and `apply` rewrites the state and updates only the rows the
+    rewrite can change (the module docstring has the argument).  A rule
+    whose key omits a bound node has its rows rebuilt.  Rule names must be
+    unique within the rule list; `_positions` checks that here and in
+    `replay`.
     """
 
     def __init__(self, state: LabeledGraph, rules: Iterable[Rule]):
         self.state = state
         self.rules = list(rules)
-        self.position = _positions(self.rules)
-        self.kinds: dict[str, dict[Label, set[int]]] = {}
+        _positions(self.rules)
+        self.kinds: dict[str, dict[Label, list[int]]] = {}
         for v, lab in enumerate(state.labels):
-            self.kinds.setdefault(lab.kind, {}).setdefault(lab, set()).add(v)
-        self.effects: list[dict] = [{} for _ in self.rules]
-        self.groups: list[dict] = [{} for _ in self.rules]
-        self.listed: list[list[tuple[int, ...]]] = [[] for _ in self.rules]
-        for r, todo in enumerate(self._candidates(range(state.graph.n))):
-            for nodes in todo:
-                self._recheck(r, nodes)
+            self.kinds.setdefault(lab.kind, {}).setdefault(lab, []).append(v)
+        self.rows: list[list[list[int]]] = [[] for _ in self.rules]
+        self.sizes = [0] * len(self.rules)
+        for r in range(len(self.rules)):
+            self._fill(r)
 
-    def _candidates(self, nodes: Iterable[int]) -> list[set[tuple[int, ...]]]:
-        """Per rule, the bindings holding a node of `nodes` that pass their kinds and guard."""
-        labels, kinds = self.state.labels, self.kinds
-        found: list[set[tuple[int, ...]]] = [set() for _ in self.rules]
-        for rule, todo in zip(self.rules, found):
-            for v in nodes:
-                lab = labels[v]
-                if lab.kind == rule.left and rule.right is None:
-                    todo.update([(v,)] if rule.guard(lab, None) else ())
-                elif lab.kind == rule.left:
-                    todo.update((v, u) for lb, group in kinds.get(rule.right, {}).items()
-                                if rule.guard(lab, lb) for u in group if u != v)
-                if lab.kind == rule.right:
-                    todo.update((u, v) for la, group in kinds.get(rule.left, {}).items()
-                                if rule.guard(la, lab) for u in group if u != v)
-        return found
+    def _row(self, r: int, v: int) -> list[int]:
+        """Partners u, sorted, of v's bindings (v, u) that pass kinds, guard
+        and edge test, less those whose reverse comes first with their effect."""
+        rule, lv = self.rules[r], self.state.labels[v]
+        if lv.kind != rule.left:
+            return []
+        if rule.right is None:
+            return [v] if rule.guard(lv, None) else []
+        near = self.state.graph.neighbors(v) if rule.connect else ()
+        row: list[int] = []
+        for lb, group in self.kinds.get(rule.right, {}).items():
+            if rule.guard(lv, lb):
+                start = bisect_right(group, v) if _mirrored(rule, lv, lb) else 0
+                row += [u for u in group[start:] if u != v and u not in near]
+        row.sort()
+        return row
 
-    def _recheck(self, r: int, nodes: tuple[int, ...]) -> None:
-        rule, effects = self.rules[r], self.effects[r]
-        old = effects.get(nodes)
-        new = (_match_effect(self.state, rule, nodes)
-               if _binding_ok(self.state, rule, nodes) else None)
-        if new == old:
+    def _fill(self, r: int) -> None:
+        """Build every row of rule r.  A rule whose key omits a bound node
+        keeps the first binding, in (v, u) order, of each effect key."""
+        rows = self.rows[r] = [self._row(r, v) for v in range(self.state.graph.n)]
+        if not _names_both(self.rules[r]):
+            seen = set()
+            for v, row in enumerate(rows):
+                kept = []
+                for u in row:
+                    key = _match_effect(self.state, self.rules[r], self._match(r, v, u).nodes)
+                    if key not in seen:
+                        seen.add(key)
+                        kept.append(u)
+                row[:] = kept
+        self.sizes[r] = sum(map(len, rows))
+
+    def _drop(self, r: int, v: int, u: int) -> None:
+        row = self.rows[r][v]
+        i = bisect_left(row, u)
+        if i < len(row) and row[i] == u:
+            del row[i]
+            self.sizes[r] -= 1
+
+    def _move_partner(self, r: int, w: int, old: Label, moved: dict[int, Label]) -> None:
+        """Take relabelled node w out of the rows whose guard admits its old
+        label, and put it into those whose guard admits its new one."""
+        rule, new = self.rules[r], self.state.labels[w]
+        if rule.right not in (old.kind, new.kind):
             return
-        listed, group_of = self.listed[r], self.groups[r]
-        if old is not None:
-            del effects[nodes]
-            group = group_of[old]
-            i = bisect_left(group, nodes)
-            del group[i]
-            if i == 0:
-                del listed[bisect_left(listed, nodes)]
-                if group:
-                    insort(listed, group[0])
-                else:
-                    del group_of[old]
-        if new is not None:
-            effects[nodes] = new
-            group = group_of.setdefault(new, [])
-            i = bisect_left(group, nodes)
-            group.insert(i, nodes)
-            if i == 0:
-                if len(group) > 1:
-                    del listed[bisect_left(listed, group[1])]
-                insort(listed, nodes)
+        near = self.state.graph.neighbors(w) if rule.connect else ()
+        for la, group in self.kinds.get(rule.left, {}).items():
+            if old.kind == rule.right and rule.guard(la, old):
+                for v in group:
+                    if v not in moved:
+                        self._drop(r, v, w)
+            if new.kind == rule.right and rule.guard(la, new):
+                above = _mirrored(rule, la, new)  # then (v, w) is listed only for v < w
+                for v in group:
+                    if v not in moved and v not in near and not (above and w < v):
+                        insort(self.rows[r][v], w)
+                        self.sizes[r] += 1
+
+    def _match(self, r: int, v: int, u: int) -> Match:
+        rule = self.rules[r]
+        return Match(rule, (v,) if rule.right is None else (v, u))
 
     def matches(self) -> list[Match]:
-        return [Match(rule, nodes) for rule, listed in zip(self.rules, self.listed)
-                for nodes in listed]
+        return [self._match(r, v, u) for r, rows in enumerate(self.rows)
+                for v, row in enumerate(rows) for u in row]
 
     def draw(self, rng: _Pcg64, prefer_phase: str | None) -> Match | None:
         """One uniformly random listed match (of prefer_phase when it has one)."""
         pool = range(len(self.rules))
         if prefer_phase is not None:
             preferred = [r for r in pool if self.rules[r].phase == prefer_phase]
-            if any(self.listed[r] for r in preferred):
+            if any(self.sizes[r] for r in preferred):
                 pool = preferred
-        total = sum(len(self.listed[r]) for r in pool)
+        total = sum(self.sizes[r] for r in pool)
         if total == 0:
             return None
         i = rng.integers(total)
         for r in pool:
-            if i < len(self.listed[r]):
+            if i < self.sizes[r]:
                 break
-            i -= len(self.listed[r])
-        return Match(self.rules[r], self.listed[r][i])
+            i -= self.sizes[r]
+        ends = list(accumulate(map(len, self.rows[r])))
+        v = bisect_right(ends, i)
+        row = self.rows[r][v]
+        return self._match(r, v, row[i - ends[v] + len(row)])
 
     def apply(self, match: Match) -> None:
-        """Rewrite the state by a listed match and recheck what it can change."""
-        labels, kinds = self.state.labels, self.kinds
-        edge, relabels = effect = self.effects[self.position[match.rule.name]][match.nodes]
-        moved = [(v, labels[v]) for v, lab in relabels if lab != labels[v]]
-        before = self._candidates([v for v, _ in moved])
-        _rewrite(self.state, effect)
-        for v, old in moved:
-            kinds[old.kind][old].remove(v)
-            if not kinds[old.kind][old]:
+        """Rewrite the state by a listed match and update the rows it can change."""
+        state, kinds = self.state, self.kinds
+        edge, relabels = effect = _match_effect(state, match.rule, match.nodes)
+        moved = {v: state.labels[v] for v, lab in relabels if lab != state.labels[v]}
+        _rewrite(state, effect)
+        for v, old in moved.items():
+            group = kinds[old.kind][old]
+            del group[bisect_left(group, v)]
+            if not group:
                 del kinds[old.kind][old]
-            kinds.setdefault(labels[v].kind, {}).setdefault(labels[v], set()).add(v)
-        after = self._candidates([v for v, _ in moved])
+            insort(kinds.setdefault(state.labels[v].kind, {}).setdefault(state.labels[v], []), v)
         for r, rule in enumerate(self.rules):
-            todo = before[r] | after[r]
+            if not _names_both(rule):
+                if moved:
+                    self._fill(r)
+                continue
             if edge is not None and rule.connect:
-                todo.update(b for b in (edge, edge[::-1]) if b in self.effects[r])
-            for nodes in todo:
-                self._recheck(r, nodes)
+                self._drop(r, *edge)
+                self._drop(r, *edge[::-1])
+            rows = self.rows[r]
+            for v in moved:
+                row = self._row(r, v)
+                self.sizes[r] += len(row) - len(rows[v])
+                rows[v] = row
+            for w, old in moved.items():
+                self._move_partner(r, w, old, moved)
 
 
 def applicable_matches(state: LabeledGraph, rules: Iterable[Rule]) -> list[Match]:

@@ -483,8 +483,19 @@ def test_grammar_rejects_a_negative_seed(tmp_path, capsys):
                  "--diameter", "4", "--seed", "-1", "--out", str(tmp_path / "x")])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err == "error: expected non-negative integer\n"
+    assert captured.err == "error: --seed must be non-negative, got -1\n"
     assert not (tmp_path / "x.trace").exists()
+
+
+def test_oracle_rejects_a_negative_seed(tmp_path, capsys):
+    path = write_graph(tmp_path, build_g1_bar(12, 3, 4).graph)
+    out = tmp_path / "trials.csv"
+    code = main(["oracle", "--graph", str(path), "--leaders", "0,1,2", "--trials", "3",
+                 "--seed", "-1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: --seed must be non-negative, got -1\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
