@@ -48,8 +48,11 @@ def _parse_id_list(text: str) -> tuple[int, ...]:
         raise ValueError(f"expected comma-separated node ids, got {text!r}") from exc
 
 
-def _parse_int_values(text: str) -> list[int]:
-    """Parse '2-10' / '2,3,7' / '1,4-6' into a sorted list of ints."""
+def _parse_int_values(text: str, most: int) -> list[int]:
+    """Parse '2-10' / '2,3,7' / '1,4-6' into a sorted list of leader counts.
+
+    No family has more leaders than nodes, so a range is cut at `most` before
+    it is expanded; a count or range that starts above `most` is an error."""
     values: set[int] = set()
     for part in text.split(","):
         part = part.strip()
@@ -65,7 +68,9 @@ def _parse_int_values(text: str) -> list[int]:
             raise ValueError(f"expected leader counts such as 2-10 or 2,3,5, got {text!r}") from exc
         if hi < lo:
             raise ValueError(f"empty range {part!r}")
-        values.update(range(lo, hi + 1))
+        if lo > most:
+            raise ValueError(f"--leaders must be at most --nodes ({most}), got {part}")
+        values.update(range(lo, min(hi, most) + 1))
     if not values:
         raise ValueError(f"no values in {text!r}")
     return sorted(values)
@@ -144,7 +149,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.nodes < 1:
         raise ValueError(f"--nodes must be at least 1, got {args.nodes}")
     families = [cons.normalize_family(f) for f in args.families.split(",") if f.strip()]
-    leader_values = _parse_int_values(args.leaders)
+    leader_values = _parse_int_values(args.leaders, args.nodes)
     if leader_values[0] < 1:
         raise ValueError(f"--leaders must be at least 1, got {leader_values[0]}")
     rows, notes = rob.sweep(args.nodes, families, leader_values, g3_d=args.g3_diameter)

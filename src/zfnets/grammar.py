@@ -5,8 +5,10 @@ Two rule sets are provided.  R1 grows the maximal layered family (leader
 clique, k follower chains, fan-in/diagonal/layer-clique fill) and R2 grows
 the diameter-2 family (leader clique, one follower chain off the first
 leader, full leader fan-out).  Rules are data: a pair of label patterns, an
-index guard, and an action (connect and/or relabel), so the rule tables are
-readable in one place and the engine stays generic.
+index guard, and an action, so the rule tables are readable in one place and
+the engine stays generic.  A one-node rule relabels its node; a two-node rule
+connects its pair, relabels both nodes, or does both.  `Rule` rejects any
+other shape when it is built.
 
 Every rule is pairwise, as in the graph grammars of Klavins, Ghrist &
 Lipsky (IEEE TAC 51(6), 2006): it reads its two labels and whether they
@@ -24,24 +26,21 @@ sorted partners u of the listed bindings (v, u).  Guards and relabels must
 be pure functions of the two labels, so whether a binding passes reads only
 its nodes' labels and, for a connect rule, whether the bound pair is an
 edge; its effect key reads only its nodes and their labels.  A full scan
-lists the first binding of each effect key in (v, u) order.  When the key
-names both bound nodes (the rule connects them, or relabels both), only the
-reverse binding can share it, and whether it does reads the two labels
-alone.  So (v, u) with u < v is left out exactly when (u, v) passes and has
-the same effect (`_mirrored`), and whether a binding is listed reads only
-its own pair.  A rewrite adds at most the edge ab and relabels at most a
-and b, so for such a rule a listing can change only for
+lists the first binding of each effect key in (v, u) order.  By the rule
+shape the key names every bound node, so only the reverse binding can share
+it, and whether it does reads the two labels alone.  So (v, u) with u < v
+is left out exactly when (u, v) passes and has the same effect
+(`_mirrored`), and whether a binding is listed reads only its own pair.  A
+rewrite adds at most the edge ab and relabels at most a and b, so a listing
+can change only for
 - a binding that holds a relabelled node;
 - the binding (a, b) or (b, a) of a connect rule, whose edge now exists.
 The index rebuilds each relabelled node's own rows, takes the node out of
 the rows whose guard admits its old label and puts it into those whose
 guard admits its new one (a row whose guard admits neither did not list it
-and does not), and drops the new edge from its endpoints' rows.  A rule
-whose key omits a bound node (neither R1 nor R2 has one) keeps the first
-binding of each key as its rows are built in v order, and its rows are
-rebuilt after every rewrite that relabels a node.  So the rows in v order
-list the same matches in the same order as a full scan, and a seed gives
-the same schedule whichever way the matches are found.
+and does not), and drops the new edge from its endpoints' rows.  So the
+rows in v order list the same matches in the same order as a full scan,
+and a seed gives the same schedule whichever way the matches are found.
 
 The scheduler draws from `_Pcg64`, zfnets' own PCG64 stream, equal to numpy
 2.4.6's `default_rng(seed).integers(total)` draw for draw.  NumPy does not
@@ -136,7 +135,9 @@ class Rule:
     that kind); `guard` sees both labels.  The action adds the edge between
     the bound nodes (when `connect`) and applies the relabel functions.
     A rule sees only its pair: the two labels and whether they share an
-    edge, never a neighbourhood.
+    edge, never a neighbourhood.  A one-node rule must set only
+    `relabel_left`; a two-node rule must connect or set both relabels, so
+    its effect names both nodes.  Other shapes raise ValueError.
     """
 
     name: str
@@ -147,6 +148,15 @@ class Rule:
     connect: bool = False
     relabel_left: Relabel | None = None
     relabel_right: Relabel | None = None
+
+    def __post_init__(self) -> None:
+        if self.right is None:
+            if self.relabel_left is None or self.connect or self.relabel_right is not None:
+                raise ValueError(f"rule {self.name!r}: a one-node rule must set relabel_left"
+                                 " and neither connect nor relabel_right")
+        elif not self.connect and None in (self.relabel_left, self.relabel_right):
+            raise ValueError(f"rule {self.name!r}: a two-node rule must connect its pair"
+                             " or relabel both nodes")
 
 
 @dataclass(frozen=True)
@@ -300,13 +310,6 @@ def _positions(rules: list[Rule]) -> dict[str, int]:
     return position
 
 
-def _names_both(rule: Rule) -> bool:
-    """Whether a binding's effect key names every node the binding holds."""
-    if rule.right is None:
-        return rule.relabel_left is not None
-    return rule.connect or None not in (rule.relabel_left, rule.relabel_right)
-
-
 def _mirrored(rule: Rule, la: Label, lb: Label) -> bool:
     """Whether the reverse of a binding labelled (la, lb) passes its kinds
     and guard and has the same effect (the edge and relabels are symmetric)."""
@@ -327,13 +330,11 @@ class _MatchIndex:
     order are the full scan's listing.  Nodes are kept by kind and then by
     label in sorted lists, and a row is built with one guard call per
     partner label.  A binding whose reverse comes first with the same
-    effect is left out by the two labels alone (`_mirrored`), so for a rule
-    whose key names both bound nodes a binding's listing reads only its
-    pair, and `apply` rewrites the state and updates only the rows the
-    rewrite can change (the module docstring has the argument).  A rule
-    whose key omits a bound node has its rows rebuilt.  Rule names must be
-    unique within the rule list; `_positions` checks that here and in
-    `replay`.
+    effect is left out by the two labels alone (`_mirrored`), so a
+    binding's listing reads only its pair, and `apply` rewrites the state
+    and updates only the rows the rewrite can change (the module docstring
+    has the argument).  Rule names must be unique within the rule list;
+    `_positions` checks that here and in `replay`.
     """
 
     def __init__(self, state: LabeledGraph, rules: Iterable[Rule]):
@@ -343,10 +344,9 @@ class _MatchIndex:
         self.kinds: dict[str, dict[Label, list[int]]] = {}
         for v, lab in enumerate(state.labels):
             self.kinds.setdefault(lab.kind, {}).setdefault(lab, []).append(v)
-        self.rows: list[list[list[int]]] = [[] for _ in self.rules]
-        self.sizes = [0] * len(self.rules)
-        for r in range(len(self.rules)):
-            self._fill(r)
+        self.rows = [[self._row(r, v) for v in range(state.graph.n)]
+                     for r in range(len(self.rules))]
+        self.sizes = [sum(map(len, rows)) for rows in self.rows]
 
     def _row(self, r: int, v: int) -> list[int]:
         """Partners u, sorted, of v's bindings (v, u) that pass kinds, guard
@@ -364,22 +364,6 @@ class _MatchIndex:
                 row += [u for u in group[start:] if u != v and u not in near]
         row.sort()
         return row
-
-    def _fill(self, r: int) -> None:
-        """Build every row of rule r.  A rule whose key omits a bound node
-        keeps the first binding, in (v, u) order, of each effect key."""
-        rows = self.rows[r] = [self._row(r, v) for v in range(self.state.graph.n)]
-        if not _names_both(self.rules[r]):
-            seen = set()
-            for v, row in enumerate(rows):
-                kept = []
-                for u in row:
-                    key = _match_effect(self.state, self.rules[r], self._match(r, v, u).nodes)
-                    if key not in seen:
-                        seen.add(key)
-                        kept.append(u)
-                row[:] = kept
-        self.sizes[r] = sum(map(len, rows))
 
     def _drop(self, r: int, v: int, u: int) -> None:
         row = self.rows[r][v]
@@ -448,10 +432,6 @@ class _MatchIndex:
                 del kinds[old.kind][old]
             insort(kinds.setdefault(state.labels[v].kind, {}).setdefault(state.labels[v], []), v)
         for r, rule in enumerate(self.rules):
-            if not _names_both(rule):
-                if moved:
-                    self._fill(r)
-                continue
             if edge is not None and rule.connect:
                 self._drop(r, *edge)
                 self._drop(r, *edge[::-1])
@@ -465,13 +445,13 @@ class _MatchIndex:
 
 
 def applicable_matches(state: LabeledGraph, rules: Iterable[Rule]) -> list[Match]:
-    """Every currently applicable, effective match in deterministic order.
+    """Every currently applicable match in deterministic order.
 
-    Edge-adding matches whose edge already exists are excluded.  Symmetric
-    two-node rules would yield both orientations of the same edge; only the
-    first binding of each effect is listed so random scheduling stays
-    unbiased.  Rules come in list order and each rule's bindings in (v, u)
-    order.
+    Edge-adding matches whose edge already exists are excluded.  Of a
+    binding and its reverse that pass with the same effect (both
+    orientations of one edge), only the one that comes first is listed, so
+    random scheduling stays unbiased.  Rules come in list order and each
+    rule's bindings in (v, u) order.
     """
     return _MatchIndex(state, rules).matches()
 
@@ -579,6 +559,8 @@ def run_to_fixpoint(
     and must treat it as read-only: the match index is kept in step with
     the state only through the rewrites the run applies itself.
     """
+    if max_steps is not None and max_steps < 0:
+        raise ValueError(f"max_steps must be non-negative, got {max_steps}")
     state = initial.copy()
     rng = _Pcg64(seed)
     budget = _step_budget(state.graph.n) if max_steps is None else max_steps

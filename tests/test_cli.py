@@ -342,18 +342,51 @@ def test_sweep_rejects_non_positive_leaders(tmp_path, capsys, leaders, smallest)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv, nodes", [
-    (["--nodes", "12", "--leaders", "13-14"], "12"),
-    (["--families", "g1", "--nodes", "7", "--leaders", "2"], "7"),
-])
-def test_sweep_without_feasible_rows_writes_no_csv(tmp_path, capsys, argv, nodes):
+def test_sweep_cuts_leader_ranges_at_nodes(tmp_path, capsys):
+    # the default --leaders 2-10 at --nodes 8 keeps its feasible rows
+    code, text = run(capsys, "sweep", "--nodes", "8", "--out", str(tmp_path / "default.csv"))
+    assert code == 0 and "nl=9" not in text and "nl=10" not in text
+    code, _ = run(capsys, "sweep", "--nodes", "8", "--leaders", "2-8",
+                  "--out", str(tmp_path / "cut.csv"))
+    assert code == 0
+    rows = (tmp_path / "default.csv").read_text()
+    assert rows == (tmp_path / "cut.csv").read_text()
+    assert [tuple(r.split(",")[:3]) for r in rows.splitlines()[1:] if r.startswith("g2bar")] \
+        == [("g2bar", "8", str(k)) for k in range(2, 7)]
+    # a range far past --nodes is cut before it is expanded
+    code, _ = run(capsys, "sweep", "--nodes", "12", "--leaders", "2-1000000000",
+                  "--out", str(tmp_path / "wide.csv"))
+    assert code == 0
+    code, _ = run(capsys, "sweep", "--nodes", "12", "--leaders", "2-12",
+                  "--out", str(tmp_path / "twelve.csv"))
+    assert code == 0
+    assert (tmp_path / "wide.csv").read_text() == (tmp_path / "twelve.csv").read_text()
+
+
+def test_sweep_rejects_a_leader_count_above_nodes(tmp_path, capsys):
+    out = tmp_path / "table.csv"
+    code = main(["sweep", "--nodes", "12", "--leaders", "2,13", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: --leaders must be at most --nodes (12), got 13\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, notes, error", [
+    # a range that starts above --nodes is rejected before it is expanded
+    (["--nodes", "12", "--leaders", "13-14"], 0,
+     "--leaders must be at most --nodes (12), got 13-14"),
+    (["--families", "g1", "--nodes", "7", "--leaders", "2"], 1,
+     "no feasible family and leader count at --nodes 7"),
+], ids=["13-14", "g1-7"])
+def test_sweep_without_feasible_rows_writes_no_csv(tmp_path, capsys, argv, notes, error):
     out = tmp_path / "table.csv"
     code = main(["sweep", *argv, "--out", str(out)])
     captured = capsys.readouterr()
     assert code == 2
-    notes = captured.out.splitlines()
-    assert notes and all(line.startswith("note: skip family=") for line in notes)
-    assert captured.err == f"error: no feasible family and leader count at --nodes {nodes}\n"
+    lines = captured.out.splitlines()
+    assert len(lines) == notes and all(line.startswith("note: skip family=") for line in lines)
+    assert captured.err == f"error: {error}\n"
     assert not out.exists()
 
 

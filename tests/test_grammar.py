@@ -206,6 +206,33 @@ def test_replay_rejects_tampered_schedules():
         replay(initial_state(8), rules, Schedule(0, (("r99", (0, 1)),)))
 
 
+def _keep(a, b):
+    return a
+
+
+@pytest.mark.parametrize("shape", [
+    dict(connect=True, relabel_left=_keep),
+    dict(relabel_left=_keep, relabel_right=_keep),
+    dict(),
+    dict(right=ALPHA, relabel_left=_keep),
+    dict(right=ALPHA, relabel_right=_keep),
+    dict(right=ALPHA),
+], ids=["one-connect", "one-relabel-right", "one-no-relabel",
+        "two-relabel-left", "two-relabel-right", "two-no-effect"])
+def test_rule_rejects_shapes_whose_effect_omits_a_node(shape):
+    with pytest.raises(ValueError, match="^rule 'odd': a (one|two)-node rule must "):
+        Rule("odd", PI1, LEADER, **shape)
+
+
+def test_replacing_a_rule_into_a_rejected_shape_raises():
+    rules = {rule.name: rule for rule in grammar_r1(2, 4)}
+    for name, change in (("r4", dict(connect=True)), ("r1", dict(relabel_left=None)),
+                         ("r6", dict(connect=False)),
+                         ("r3", dict(connect=False, relabel_right=None))):
+        with pytest.raises(ValueError, match=f"^rule '{name}': "):
+            dataclasses.replace(rules[name], **change)
+
+
 def test_duplicate_rule_names_are_rejected():
     rules = grammar_r1(2, 3) + [Rule("r0", PI1, LEADER, LEADER, connect=True)]
     with pytest.raises(ValueError, match="duplicate rule name 'r0'"):
@@ -245,6 +272,18 @@ def test_step_budget_applies_no_step_beyond_it():
     assert len(schedule.steps) == 34
     _, bounded = run_to_fixpoint(initial_state(12), grammar_r1(3, 4), seed=1, max_steps=34)
     assert bounded == schedule
+
+
+def test_step_budget_rejects_a_negative_budget():
+    stuck = [Rule("x", PI1, SEED, relabel_left=_keep)]  # its match stays listed
+
+    def no_step(i, state, match):  # fails fast where the budget would never stop the run
+        raise AssertionError(f"step {i} was applied")
+
+    with pytest.raises(ValueError, match="^max_steps must be non-negative, got -1$"):
+        run_to_fixpoint(initial_state(3), stuck, max_steps=-1, on_step=no_step)
+    with pytest.raises(NonConvergenceError, match="^no fixpoint after 92 steps \\(n=3\\)$"):
+        run_to_fixpoint(initial_state(3), stuck)
 
 
 def test_edge_count_grows_monotonically():
@@ -420,15 +459,17 @@ def _random_labeled_graph(rng, n: int) -> LabeledGraph:
     return LabeledGraph(g, labels)
 
 
-# Rules whose effect keys collide across different bindings (relabel-only
-# rules key on the node they relabel alone: on the left node within one
-# row, on the right node across rows), a guard on the right label, and a
-# fire-once guard on the left label, which the rule itself sets from the
-# right label.
-COLLIDING_RULES = [
+# Rules beyond R1's and R2's: relabels that return the label they were given
+# (on both nodes in `keep`, on one in `bump` and `tag`), so a rewrite may
+# leave its match listed; relabels that move a node to another kind; a guard
+# on the right label; a fire-once guard on the left label, which the rule
+# itself sets from the right label; and connect rules within one kind, whose
+# reverse bindings may share an effect.
+EDGE_CASE_RULES = [
     Rule("bump", PI1, BETA, ALPHA, guard=lambda a, b: a.i < 4,
-         relabel_left=lambda a, b: Label(BETA, a.i + 1)),
-    Rule("keep", PI1, LEADER, ALPHA, relabel_left=lambda a, b: a),
+         relabel_left=lambda a, b: Label(BETA, a.i + 1), relabel_right=lambda a, b: b),
+    Rule("keep", PI1, LEADER, ALPHA, relabel_left=lambda a, b: a,
+         relabel_right=lambda a, b: b),
     Rule("link", PI2, BETA, BETA, guard=lambda a, b: b.i >= a.i, connect=True,
          relabel_right=lambda a, b: Label(GAMMA, b.i)),
     Rule("reach", PI2, LEADER, BETA, guard=lambda a, b: a.j is None or a.j < b.i,
@@ -437,7 +478,7 @@ COLLIDING_RULES = [
     Rule("end", PI1, GAMMA, guard=lambda a, b: a.i == 2,
          relabel_left=lambda a, b: Label(LEADER, 1)),
     Rule("tag", PI1, LEADER, GAMMA, guard=lambda a, b: a.i <= b.i,
-         relabel_right=lambda a, b: Label(BETA, a.i)),
+         relabel_left=lambda a, b: a, relabel_right=lambda a, b: Label(BETA, a.i)),
 ]
 
 
@@ -460,7 +501,7 @@ CROWD_LABELS = [Label(ALPHA), Label(BETA, 2, 2), Label(GAMMA, 1, 2), Label(LEADE
 @pytest.mark.parametrize("seed", range(8))
 def test_match_index_tracks_random_rewrites(seed):
     rng = np.random.default_rng(seed)
-    rule_sets = (COLLIDING_RULES, grammar_r1(2, 6), grammar_r2(12, 2))
+    rule_sets = (EDGE_CASE_RULES, grammar_r1(2, 6), grammar_r2(12, 2))
     for rules in rule_sets:
         _index_follows_rescan(_random_labeled_graph(rng, 12), rules, rng)
     rng = np.random.default_rng([seed, 40])
