@@ -149,6 +149,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.nodes < 1:
         raise ValueError(f"--nodes must be at least 1, got {args.nodes}")
     families = [cons.normalize_family(f) for f in args.families.split(",") if f.strip()]
+    if args.g3_diameter is not None and cons.G3_BAR not in families:
+        raise ValueError("--g3-diameter needs g3bar in --families")
     leader_values = _parse_int_values(args.leaders, args.nodes)
     if leader_values[0] < 1:
         raise ValueError(f"--leaders must be at least 1, got {leader_values[0]}")

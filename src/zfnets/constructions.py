@@ -151,11 +151,19 @@ def parse_construction_config(text: str) -> ConstructionSpec:
     extra = set(data) - {"family", "n", "nl", "d"}
     if extra:
         raise InfeasibleSpecError(f"config has unknown key(s): {', '.join(sorted(extra))}")
+
+    def integer(key: str) -> int:
+        try:
+            return int(data[key])
+        except ValueError:
+            raise InfeasibleSpecError(f"config line {line_of[key]}: {key} must be an integer,"
+                                      f" got {data[key]!r}") from None
+
     try:
-        family, n, k = data["family"], int(data["n"]), int(data["nl"])
+        family, n, k = data["family"], integer("n"), integer("nl")
     except KeyError as exc:
         raise InfeasibleSpecError(f"config is missing key {exc.args[0]!r}") from exc
-    d = int(data["d"]) if "d" in data else None
+    d = integer("d") if "d" in data else None
     return ConstructionSpec(family=family, n=n, n_leaders=k, d=d)
 
 

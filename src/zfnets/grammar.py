@@ -21,26 +21,26 @@ between the two chain-start labels (GAMMA(i,1) -> BETA(i,1) in R1, BETA(1)
 -> GAMMA(1) in R2).  So on every state reachable from `initial_state` the
 two tests agree, and every seed keeps its schedule.
 
-A run keeps a match index: per rule, one row per node v, holding the
-sorted partners u of the listed bindings (v, u).  Guards and relabels must
-be pure functions of the two labels, so whether a binding passes reads only
-its nodes' labels and, for a connect rule, whether the bound pair is an
-edge; its effect key reads only its nodes and their labels.  A full scan
-lists the first binding of each effect key in (v, u) order.  By the rule
-shape the key names every bound node, so only the reverse binding can share
-it, and whether it does reads the two labels alone.  So (v, u) with u < v
-is left out exactly when (u, v) passes and has the same effect
-(`_mirrored`), and whether a binding is listed reads only its own pair.  A
-rewrite adds at most the edge ab and relabels at most a and b, so a listing
-can change only for
+A run keeps a match index: per rule, one sorted list of keys v * n + u,
+one for each listed binding (v, u), so key order is (v, u) order.  Guards
+and relabels must be pure functions of the two labels, so whether a binding
+passes reads only its nodes' labels and, for a connect rule, whether the
+bound pair is an edge; its effect key reads only its nodes and their
+labels.  A full scan lists the first binding of each effect key in (v, u)
+order.  By the rule shape the key names every bound node, so only the
+reverse binding can share it, and whether it does reads the two labels
+alone.  So (v, u) with u < v is left out exactly when (u, v) passes and has
+the same effect (`_mirrored`), and whether a binding is listed reads only
+its own pair.  A rewrite adds at most the edge ab and relabels at most a
+and b, so a listing can change only for
 - a binding that holds a relabelled node;
 - the binding (a, b) or (b, a) of a connect rule, whose edge now exists.
-The index rebuilds each relabelled node's own rows, takes the node out of
-the rows whose guard admits its old label and puts it into those whose
-guard admits its new one (a row whose guard admits neither did not list it
-and does not), and drops the new edge from its endpoints' rows.  So the
-rows in v order list the same matches in the same order as a full scan,
-and a seed gives the same schedule whichever way the matches are found.
+The index drops the new edge's two keys, takes each relabelled node out
+of the bindings whose guard admits its old label and puts it into those
+whose guard admits its new one (one whose guard admits neither was not
+listed and is not), then rebuilds the node's own keys.  So the keys list
+the same matches in the same order as a full scan, and a seed gives the
+same schedule whichever way the matches are found.
 
 The scheduler draws from `_Pcg64`, zfnets' own PCG64 stream, equal to numpy
 2.4.6's `default_rng(seed).integers(total)` draw for draw.  NumPy does not
@@ -49,7 +49,6 @@ promise to keep its stream (NEP 19); owning it keeps every seed's `.trace`.
 from __future__ import annotations
 
 import operator
-from itertools import accumulate
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional
@@ -325,103 +324,97 @@ def _mirrored(rule: Rule, la: Label, lb: Label) -> bool:
 class _MatchIndex:
     """Listed bindings of every rule, kept current as one run rewrites.
 
-    Per rule, `rows[r][v]` holds the sorted partners u of the listed
-    bindings (v, u), or [v] for a listed one-node binding, so the rows in v
-    order are the full scan's listing.  Nodes are kept by kind and then by
-    label in sorted lists, and a row is built with one guard call per
-    partner label.  A binding whose reverse comes first with the same
-    effect is left out by the two labels alone (`_mirrored`), so a
-    binding's listing reads only its pair, and `apply` rewrites the state
-    and updates only the rows the rewrite can change (the module docstring
-    has the argument).  Rule names must be unique within the rule list;
-    `_positions` checks that here and in `replay`.
+    Per rule, `keys[r]` is one sorted list holding v * n + u for each
+    listed binding (v, u), or v * n + v for a listed one-node binding; as
+    u < n, key order is (v, u) order, the full scan's listing.  Nodes are
+    kept by kind and then by label in sorted lists, and a node's keys are
+    built with one guard call per partner label.  A binding whose reverse
+    comes first with the same effect is left out by the two labels alone
+    (`_mirrored`), so a binding's listing reads only its pair, and `apply`
+    rewrites the state and updates only the keys the rewrite can change
+    (the module docstring has the argument).  Rule names must be unique
+    within the rule list; `_positions` checks that here and in `replay`.
     """
 
     def __init__(self, state: LabeledGraph, rules: Iterable[Rule]):
         self.state = state
         self.rules = list(rules)
         _positions(self.rules)
+        self.n = n = state.graph.n
         self.kinds: dict[str, dict[Label, list[int]]] = {}
         for v, lab in enumerate(state.labels):
             self.kinds.setdefault(lab.kind, {}).setdefault(lab, []).append(v)
-        self.rows = [[self._row(r, v) for v in range(state.graph.n)]
+        self.keys = [[key for v in range(n) for key in self._row(r, v)]
                      for r in range(len(self.rules))]
-        self.sizes = [sum(map(len, rows)) for rows in self.rows]
 
     def _row(self, r: int, v: int) -> list[int]:
-        """Partners u, sorted, of v's bindings (v, u) that pass kinds, guard
-        and edge test, less those whose reverse comes first with their effect."""
-        rule, lv = self.rules[r], self.state.labels[v]
+        """Keys, sorted, of v's bindings (v, u) that pass kinds, guard and
+        edge test, less those whose reverse comes first with their effect."""
+        rule, lv, base = self.rules[r], self.state.labels[v], v * self.n
         if lv.kind != rule.left:
             return []
         if rule.right is None:
-            return [v] if rule.guard(lv, None) else []
+            return [base + v] if rule.guard(lv, None) else []
         near = self.state.graph.neighbors(v) if rule.connect else ()
         row: list[int] = []
         for lb, group in self.kinds.get(rule.right, {}).items():
             if rule.guard(lv, lb):
                 start = bisect_right(group, v) if _mirrored(rule, lv, lb) else 0
-                row += [u for u in group[start:] if u != v and u not in near]
+                row += [base + u for u in group[start:] if u != v and u not in near]
         row.sort()
         return row
 
-    def _drop(self, r: int, v: int, u: int) -> None:
-        row = self.rows[r][v]
-        i = bisect_left(row, u)
-        if i < len(row) and row[i] == u:
-            del row[i]
-            self.sizes[r] -= 1
+    def _drop(self, r: int, key: int) -> None:
+        keys = self.keys[r]
+        i = bisect_left(keys, key)
+        if i < len(keys) and keys[i] == key:
+            del keys[i]
 
-    def _move_partner(self, r: int, w: int, old: Label, moved: dict[int, Label]) -> None:
-        """Take relabelled node w out of the rows whose guard admits its old
-        label, and put it into those whose guard admits its new one."""
-        rule, new = self.rules[r], self.state.labels[w]
+    def _move_partner(self, r: int, w: int, old: Label) -> None:
+        """Take relabelled node w out of the bindings whose guard admits its
+        old label, and put it into those whose guard admits its new one."""
+        rule, new, n = self.rules[r], self.state.labels[w], self.n
         if rule.right not in (old.kind, new.kind):
             return
         near = self.state.graph.neighbors(w) if rule.connect else ()
         for la, group in self.kinds.get(rule.left, {}).items():
             if old.kind == rule.right and rule.guard(la, old):
                 for v in group:
-                    if v not in moved:
-                        self._drop(r, v, w)
+                    if v != w:
+                        self._drop(r, v * n + w)
             if new.kind == rule.right and rule.guard(la, new):
                 above = _mirrored(rule, la, new)  # then (v, w) is listed only for v < w
                 for v in group:
-                    if v not in moved and v not in near and not (above and w < v):
-                        insort(self.rows[r][v], w)
-                        self.sizes[r] += 1
+                    if v != w and v not in near and not (above and w < v):
+                        insort(self.keys[r], v * n + w)
 
     def _match(self, r: int, v: int, u: int) -> Match:
         rule = self.rules[r]
         return Match(rule, (v,) if rule.right is None else (v, u))
 
     def matches(self) -> list[Match]:
-        return [self._match(r, v, u) for r, rows in enumerate(self.rows)
-                for v, row in enumerate(rows) for u in row]
+        return [self._match(r, *divmod(key, self.n))
+                for r, keys in enumerate(self.keys) for key in keys]
 
     def draw(self, rng: _Pcg64, prefer_phase: str | None) -> Match | None:
         """One uniformly random listed match (of prefer_phase when it has one)."""
         pool = range(len(self.rules))
         if prefer_phase is not None:
             preferred = [r for r in pool if self.rules[r].phase == prefer_phase]
-            if any(self.sizes[r] for r in preferred):
+            if any(self.keys[r] for r in preferred):
                 pool = preferred
-        total = sum(self.sizes[r] for r in pool)
+        total = sum(len(self.keys[r]) for r in pool)
         if total == 0:
             return None
         i = rng.integers(total)
         for r in pool:
-            if i < self.sizes[r]:
-                break
-            i -= self.sizes[r]
-        ends = list(accumulate(map(len, self.rows[r])))
-        v = bisect_right(ends, i)
-        row = self.rows[r][v]
-        return self._match(r, v, row[i - ends[v] + len(row)])
+            if i < len(self.keys[r]):
+                return self._match(r, *divmod(self.keys[r][i], self.n))
+            i -= len(self.keys[r])
 
     def apply(self, match: Match) -> None:
-        """Rewrite the state by a listed match and update the rows it can change."""
-        state, kinds = self.state, self.kinds
+        """Rewrite the state by a listed match and update the keys it can change."""
+        state, kinds, n = self.state, self.kinds, self.n
         edge, relabels = effect = _match_effect(state, match.rule, match.nodes)
         moved = {v: state.labels[v] for v, lab in relabels if lab != state.labels[v]}
         _rewrite(state, effect)
@@ -433,15 +426,13 @@ class _MatchIndex:
             insort(kinds.setdefault(state.labels[v].kind, {}).setdefault(state.labels[v], []), v)
         for r, rule in enumerate(self.rules):
             if edge is not None and rule.connect:
-                self._drop(r, *edge)
-                self._drop(r, *edge[::-1])
-            rows = self.rows[r]
-            for v in moved:
-                row = self._row(r, v)
-                self.sizes[r] += len(row) - len(rows[v])
-                rows[v] = row
+                for a, b in (edge, edge[::-1]):
+                    self._drop(r, a * n + b)
             for w, old in moved.items():
-                self._move_partner(r, w, old, moved)
+                self._move_partner(r, w, old)
+            keys = self.keys[r]
+            for v in moved:  # overwrites what the partner edits put in v's range
+                keys[bisect_left(keys, v * n):bisect_left(keys, v * n + n)] = self._row(r, v)
 
 
 def applicable_matches(state: LabeledGraph, rules: Iterable[Rule]) -> list[Match]:

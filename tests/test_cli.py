@@ -120,6 +120,17 @@ def test_construct_config_with_a_repeated_key_exits_2(tmp_path, capsys):
     assert not (tmp_path / "net.edges").exists()
 
 
+def test_construct_config_with_a_non_integer_value_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "net.cfg"
+    cfg.write_text("family = g1bar\nn = 12\nnl = 3\nd = four\n")
+    code = main(["construct", "--config", str(cfg), "--out", str(tmp_path / "net")])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        "error: infeasible spec: config line 4: d must be an integer, got 'four'\n")
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 @pytest.mark.parametrize("flags, named", [
     (["--family", "g2bar", "--nodes", "40", "--leaders", "5"], "--family, --nodes, --leaders"),
     (["--diameter", "4"], "--diameter"),
@@ -307,6 +318,16 @@ def test_sweep_skips_an_infeasible_g3_diameter(tmp_path, capsys):
     assert code == 0
     assert text.startswith("note: skip family=g3bar n=12 nl=3: ")
     assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == ["g1bar", "g2bar"]
+
+
+def test_sweep_g3_diameter_needs_g3bar_in_families(tmp_path, capsys):
+    out = tmp_path / "table.csv"
+    code = main(["sweep", "--nodes", "12", "--families", "g1bar", "--leaders", "3",
+                 "--g3-diameter", "3", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: --g3-diameter needs g3bar in --families\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("leaders", ["2-", "1-3-5", "x"])

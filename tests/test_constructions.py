@@ -251,3 +251,11 @@ def test_config_parsing():
         parse_construction_config("family = g1bar\ncolor = blue\n")
     with pytest.raises(ValueError, match="family"):
         parse_construction_config("n = 12\nnl = 3\n")
+    for bad, message in (
+        ("family = g1bar\nn = 12\nnl = 3\nd = four\n",
+         "config line 4: d must be an integer, got 'four'"),
+        ("family = g1bar\nn = 12.0\nnl = 3\n", "config line 2: n must be an integer, got '12.0'"),
+    ):
+        with pytest.raises(InfeasibleSpecError) as info:
+            parse_construction_config(bad)
+        assert str(info.value) == message

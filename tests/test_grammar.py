@@ -463,8 +463,9 @@ def _random_labeled_graph(rng, n: int) -> LabeledGraph:
 # (on both nodes in `keep`, on one in `bump` and `tag`), so a rewrite may
 # leave its match listed; relabels that move a node to another kind; a guard
 # on the right label; a fire-once guard on the left label, which the rule
-# itself sets from the right label; and connect rules within one kind, whose
-# reverse bindings may share an effect.
+# itself sets from the right label; connect rules within one kind, whose
+# reverse bindings may share an effect; and `swap`, which relabels both of
+# its nodes without joining them, so its reverse binding is new after it.
 EDGE_CASE_RULES = [
     Rule("bump", PI1, BETA, ALPHA, guard=lambda a, b: a.i < 4,
          relabel_left=lambda a, b: Label(BETA, a.i + 1), relabel_right=lambda a, b: b),
@@ -479,6 +480,8 @@ EDGE_CASE_RULES = [
          relabel_left=lambda a, b: Label(LEADER, 1)),
     Rule("tag", PI1, LEADER, GAMMA, guard=lambda a, b: a.i <= b.i,
          relabel_left=lambda a, b: a, relabel_right=lambda a, b: Label(BETA, a.i)),
+    Rule("swap", PI1, GAMMA, BETA, guard=lambda a, b: a.i != b.i,
+         relabel_left=lambda a, b: Label(BETA, a.i), relabel_right=lambda a, b: Label(GAMMA, b.i)),
 ]
 
 
