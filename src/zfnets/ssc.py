@@ -27,8 +27,11 @@ or without FMA.  Longer products split a factor into lo + 4096 hi, |lo| <=
 n <= MAX_N.  _reduce maps an integer |x| <= 2**53 - 2**24 to r = x - PRIME *
 rint(x * fl(1/PRIME)): the quotient is off by under 2**-23, so |r| <= (PRIME -
 1)/2 + 4 = 2**24 - 16, x - r is exact, and r == 0 exactly when PRIME divides x.
-Trials run in lock-step batches (one pivot step for all, see _ranks) of at
-most _BATCH_ELEMENTS operator entries, a fixed working-set budget.
+Trials run in lock-step batches of at most _BATCH_ELEMENTS operator entries,
+a fixed working-set budget: one batch holds the 20 trials of a check at
+N=120, and 9 trials at N=240.  Each realization is drawn straight into the
+batch's float operator stack, since its weights are already residues, and
+_ranks takes every elimination step for the whole batch at once.
 """
 from __future__ import annotations
 
@@ -42,7 +45,7 @@ PRIME = 33_554_393  # largest prime below 2**25
 # [-MAX_WEIGHT, MAX_WEIGHT] holds every residue mod PRIME exactly once.
 MAX_WEIGHT = (PRIME - 1) // 2
 MAX_N = 2**13  # the split products are exact up to here
-_BATCH_ELEMENTS = 2**17
+_BATCH_ELEMENTS = 2**19
 
 
 def _check_size(n: int) -> None:
@@ -94,20 +97,36 @@ def _submul(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _reduce(np.subtract(c, a @ b, out=c))
 
 
-def _ranks(mt: np.ndarray, block: np.ndarray) -> np.ndarray:
+def _ranks(a: np.ndarray, block: np.ndarray) -> np.ndarray:
     """Rank mod PRIME of [B, MB, ..., M^(n-1)B] for each trial of a batch.
 
-    Block Krylov elimination on the rows of mt[t] = M^T and block[t] = B^T.
-    With E the fully reduced basis on its pivot rows, y (I - E) is y reduced,
-    so a trial keeps A = M^T (I - E): its next block X A comes out reduced,
-    and new rows X with pivots C make A - A[:, C] X, 0 on the pivot columns,
-    which are dropped.  A trial stops at rank n or when a block adds nothing.
+    Block Krylov elimination on the rows of a[t] = M^T (residues |r| <=
+    MAX_WEIGHT, overwritten) and block[t] = B^T.  With E the fully reduced
+    basis on its pivot rows, y (I - E) is y reduced, so a trial keeps
+    A = M^T (I - E): its next block X A comes out reduced, and new rows X
+    with pivots C make A - A[:, C] X, 0 on the pivot columns.
+
+    The updates are delayed: A = A0 - U V.  A step appends A[:, C] =
+    A0[:, C] - U V[:, C] to the panel U and X to V, and the next block is
+    -X A0 + (X U) V, so it touches O(n w) entries of A0 per row of X, not
+    all of A.  U V[:, C] and (X U) V sum at most 32 products, the panel's
+    width, and need no split; X A0 and X U sum over the n coordinates and
+    split X.  A block wider than 32 fills a panel alone, and _submul splits
+    its products too.  When the next block would overfill the panel, every
+    trial moves the same number of its pivot coordinates (the fewest any
+    trial has) to the end and cuts them off, since A and the block are 0
+    there and so is every later X, and U V is folded into A0 with one
+    product.  A trial stops at rank n or when a block adds nothing.
     """
     trials, width, n = block.shape
     ranks = np.zeros(trials, dtype=np.intp)
-    ids, rows = np.arange(trials if n and width else 0), np.arange(width)
-    rank, a, block = ranks[ids], _reduce(mt[ids] * 1.0), _reduce(block[ids] * 1.0)
-    while ids.size:
+    if not (n and width):
+        return ranks
+    ids, rows, rank, block = np.arange(trials), np.arange(width), ranks.copy(), _reduce(block * 1.0)
+    cap, used = max(32, width), 0
+    ut, v = np.empty((trials, cap, n)), np.empty((trials, cap, n))  # U^T and V
+    pivots = np.zeros((trials, n), dtype=bool)
+    while True:
         at, cols = np.arange(ids.size), np.empty((ids.size, width), dtype=np.intp)
         for i in rows:  # fraction-free Gauss-Jordan
             row = block[:, i]
@@ -117,25 +136,36 @@ def _ranks(mt: np.ndarray, block: np.ndarray) -> np.ndarray:
             f[:, i] = 0
             _reduce(np.subtract(block * head, f[:, :, None] * row[:, None, :], out=block))
         heads = block[at[:, None], rows, cols]
-        block *= np.reshape([pow(int(h), -1, PRIME) if h else 0 for h in heads.flat], (-1, width, 1))
+        block *= np.reshape([pow(int(h), -1, PRIME) if h else 0 for h in heads.ravel().tolist()], (-1, width, 1))
         _reduce(block)
         found = heads != 0
         rank += found.sum(1)
-        _submul(a, a[at[:, None, None], np.arange(a.shape[1])[:, None], cols[:, None, :]], block)
         keep = found.any(1) & (rank < n)
         if not keep.all():
             ranks[ids] = rank
-            ids, a, block, rank, cols = (x[keep] for x in (ids, a, block, rank, cols))
-        block = _submul(np.zeros(block.shape), block, a)  # -X A spans the same
-        if found.all() and a.size > 2**12:  # cut the new pivots off A once it is large
-            at, dest = np.arange(ids.size)[:, None], np.sort(cols, axis=1)
-            tail = block.shape[2] - width + rows
-            source = tail[np.argsort((cols[:, :, None] == tail).any(1), axis=1, kind="stable")]
-            a[at, :, dest] = a[at, :, source]
-            a[at, dest] = a[at, source]
-            block[at, :, dest] = block[at, :, source]
-            a, block = a[:, :tail[0], :tail[0]].copy(), block[:, :, :tail[0]]
-    return ranks
+            if not keep.any():
+                return ranks
+            ids, a, ut, v, pivots, block, rank, cols, found = (
+                x[keep] for x in (ids, a, ut, v, pivots, block, rank, cols, found))
+            at = at[:ids.size]
+        pivots[np.nonzero(found)[0], cols[found]] = True
+        # A[:, C]^T = A0[:, C]^T - V[:, C]^T U^T
+        ut[:, used:used + width] = _submul(a[at[:, None], :, cols], v[:, :used][at[:, None], :, cols], ut[:, :used])
+        v[:, used:used + width] = block
+        used += width
+        xu = _submul(np.zeros((ids.size, width, used)), block, ut[:, :used].transpose(0, 2, 1))  # -X U
+        block = _submul(_submul(np.zeros(block.shape), block, a), xu, v[:, :used])
+        if used + width > cap:  # cut pivot coordinates, then fold the panel into A0
+            spare = pivots.sum(1).min()
+            drop, m = pivots & (np.cumsum(pivots, 1) <= spare), pivots.shape[1] - spare
+            dest = np.nonzero(drop)[1].reshape(-1, spare)  # the first are below m
+            source = m + np.argsort(drop[:, m:], axis=1, kind="stable")  # kept tail coordinates first
+            for x in (a, ut, v, block, pivots):
+                x[at[:, None], ..., dest] = x[at[:, None], ..., source]
+            a[at[:, None], dest] = a[at[:, None], source]
+            a, ut, v, block, pivots = a[:, :m, :m], ut[..., :m], v[..., :m], block[..., :m], pivots[:, :m]
+            _submul(a, ut[:, :used].transpose(0, 2, 1), v[:, :used])
+            used = 0
 
 
 def controllability_report(r: SystemRealization) -> tuple[int, str]:
@@ -144,7 +174,7 @@ def controllability_report(r: SystemRealization) -> tuple[int, str]:
     _check_size(n)
     if m.dtype.kind not in "iu" or b.dtype.kind not in "iu":
         raise ValueError("a realization must hold integer matrices")
-    rank = int(_ranks(*(x.T[None].astype(np.int64) % PRIME for x in (m, b)))[0])
+    rank = int(_ranks(*(_reduce(x.T[None].astype(np.int64) % PRIME * 1.0) for x in (m, b)))[0])
     return rank, "controllable" if rank == n else "uncontrollable"
 
 
@@ -199,14 +229,14 @@ def randomized_ssc_check(
     n, (u, v) = g.n, np.array(g.edges(), dtype=np.intp).reshape(-1, 2).T
     seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=trials).tolist()
     batch = min(trials, max(1, _BATCH_ELEMENTS // max(1, n * n)))
-    mt = np.zeros((batch, n, n))
     bt = np.broadcast_to(np.arange(n) == np.array(leaders.ids)[:, None], (batch, len(leaders), n))
     ranks: list[int] = []
     for start in range(0, trials, batch):
         chunk = seeds[start:start + batch]
+        a = np.zeros((len(chunk), n, n))
         for t, trial_seed in enumerate(chunk):
-            _draw(mt[t], trial_seed, u, v)  # M is symmetric: this is M^T
-        ranks += _ranks(mt[:len(chunk)], bt[:len(chunk)]).tolist()
+            _draw(a[t], trial_seed, u, v)  # M is symmetric, so this is M^T, in residues
+        ranks += _ranks(a, bt[:len(chunk)]).tolist()
     records = tuple(TrialRecord(t, s, r, "controllable" if r == n else "uncontrollable")
                     for t, (s, r) in enumerate(zip(seeds, ranks)))
     passed = ranks.count(n)

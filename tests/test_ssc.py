@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import random_connected_graph
 from oracles import is_controllable_pair, kalman_rank_exact, kalman_rank_mod_p
+from zfnets import ssc
 from zfnets.constructions import (
     FAMILIES,
     ConstructionSpec,
@@ -21,7 +22,6 @@ from zfnets.constructions import (
 )
 from zfnets.graph import Graph, LeaderSet, complete_graph, path_graph
 from zfnets.ssc import (
-    _BATCH_ELEMENTS,
     MAX_N,
     MAX_WEIGHT,
     PRIME,
@@ -187,11 +187,13 @@ def test_size_and_dtype_limits():
     floats = SystemRealization(np.eye(2), np.ones((2, 1)), seed=0)
     with pytest.raises(ValueError, match="integer"):
         controllability_report(floats)
+    small = SystemRealization(np.array([[0, 1], [1, 0]], dtype=np.uint8), np.eye(2, 1, dtype=np.uint8), seed=0)
+    assert controllability_report(small) == (2, "controllable")
 
 
 def _batch(realizations):
     """Kernel input for a batch: every M^T and B^T as residues mod PRIME."""
-    return (np.stack([r.m_matrix.T % PRIME for r in realizations]),
+    return (_reduce(np.stack([r.m_matrix.T % PRIME for r in realizations]) * 1.0),
             np.stack([r.b_matrix.T % PRIME for r in realizations]))
 
 
@@ -269,6 +271,64 @@ def test_extreme_weights_match_python_int_elimination(seed):
             expected, "controllable" if expected == n else "uncontrollable")
 
 
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_ragged_batch_ranks_across_panel_folds(width):
+    # a path driven at one end gains one pivot per block, so its batch runs
+    # n blocks and folds the panel (32 // width blocks) at least twice
+    rng = np.random.default_rng(width)
+    n = int(rng.integers(33 if width > 1 else 65, 71))
+    assert n > 2 * (32 // width)
+    path = sample_realization(path_graph(n), LeaderSet((0,)), int(rng.integers(2**31)))
+    scales = rng.integers(1, MAX_WEIGHT + 1, size=(1, width)) * rng.choice([-1, 1], size=(1, width))
+    batch = [SystemRealization(path.m_matrix, path.b_matrix * scales, 0)]  # 1 pivot of `width`
+    batch.append(sample_realization(*_two_components(rng, n, width), int(rng.integers(2**31))))
+    sign = rng.choice([-1, 1], size=(n, n))
+    extreme = MAX_WEIGHT * (np.triu(sign) + np.triu(sign, 1).T)
+    batch.append(SystemRealization(extreme, MAX_WEIGHT * rng.choice([-1, 0, 1], size=(n, width)), 0))
+    batch.append(SystemRealization(extreme, np.zeros((n, width), dtype=np.int64), 0))
+    m = rng.integers(-2, 3, size=(n, n)) * (rng.random((n, n)) < 0.05)
+    batch.append(SystemRealization(m, rng.integers(-1, 2, size=(n, width)), 0))
+    ranks = _ranks(*_batch(batch)).tolist()
+    assert ranks[0] == n and ranks[3] == 0 and 0 < ranks[1] < n  # and drop out at different blocks
+    for real, rank in zip(batch, ranks):
+        assert rank == kalman_rank_mod_p(real.m_matrix, real.b_matrix, PRIME)
+
+
+def test_inputs_wider_than_a_panel():
+    # with width > 32 a panel holds one block, and U V needs the split
+    rng = np.random.default_rng(33)
+    n, width = 36, 33
+    path = sample_realization(path_graph(n), LeaderSet((0,)), 5)
+    b = np.zeros((n, width), dtype=np.int64)
+    b[0] = rng.integers(1, MAX_WEIGHT + 1, size=width)
+    b[n // 2, 3] = MAX_WEIGHT
+    sign = rng.choice([-1, 1], size=(n, n)) * (rng.random((n, n)) < 0.08)
+    sparse = MAX_WEIGHT * rng.choice([-1, 0, 1], size=(n, width)) * (rng.random((n, width)) < 0.03)
+    batch = [SystemRealization(path.m_matrix, b, 0), SystemRealization(MAX_WEIGHT * sign, sparse, 0)]
+    ranks = _ranks(*_batch(batch)).tolist()
+    assert ranks[0] == n  # leader 0 forces the path
+    assert ranks[1] == kalman_rank_mod_p(batch[1].m_matrix, batch[1].b_matrix, PRIME)
+
+
+def test_one_batch_per_check_and_records_replay(monkeypatch):
+    kernel, batches = ssc._ranks, []
+
+    def counting(a, block):
+        batches.append(len(a))
+        return kernel(a, block)
+
+    monkeypatch.setattr(ssc, "_ranks", counting)
+    net = build_g2_bar(120, 4)
+    randomized_ssc_check(net.graph, net.leaders, trials=20, seed=5)
+    assert batches == [20]
+    cap, batches[:] = ssc._BATCH_ELEMENTS // net.graph.n**2, []
+    report = randomized_ssc_check(net.graph, net.leaders, trials=2 * cap + 1, seed=6)
+    assert batches == [cap, cap, 1]
+    for rec in report.records:
+        replayed = controllability_report(sample_realization(net.graph, net.leaders, rec.seed))
+        assert replayed == (rec.rank, rec.verdict)
+
+
 def test_empty_system_and_inputless_b():
     empty = SystemRealization(np.zeros((0, 0), dtype=np.int64), np.zeros((0, 2), dtype=np.int64), 0)
     assert controllability_report(empty) == (0, "controllable")
@@ -277,10 +337,11 @@ def test_empty_system_and_inputless_b():
     assert not is_controllable_pair(inputless)
 
 
-def test_records_replay_through_a_batch_of_one_across_batches():
+def test_records_replay_through_a_batch_of_one_across_batches(monkeypatch):
+    monkeypatch.setattr(ssc, "_BATCH_ELEMENTS", 2**15)
     net = build_g1_bar(60, 4, 15)
     trials = 40
-    assert trials > _BATCH_ELEMENTS // net.graph.n**2  # the trials span two batches
+    assert trials > ssc._BATCH_ELEMENTS // net.graph.n**2  # the trials span several batches
     report = randomized_ssc_check(net.graph, net.leaders, trials=trials, seed=9)
     for rec in report.records:
         replayed = controllability_report(sample_realization(net.graph, net.leaders, rec.seed))
@@ -333,10 +394,12 @@ PINNED_CSV = [
 
 
 @pytest.mark.parametrize("name, make, trials, seed, digest", PINNED_CSV, ids=[c[0] for c in PINNED_CSV])
-def test_report_csv_matches_pinned_digest(name, make, trials, seed, digest):
+def test_report_csv_matches_pinned_digest(name, make, trials, seed, digest, monkeypatch):
     g, leaders = make()
+    if name == "disconnected40":
+        monkeypatch.setattr(ssc, "_BATCH_ELEMENTS", 2**15)
+        assert trials > ssc._BATCH_ELEMENTS // g.n**2  # several batches
     report = randomized_ssc_check(g, leaders, trials=trials, seed=seed)
     if name == "disconnected40":
-        assert trials > _BATCH_ELEMENTS // g.n**2  # several batches
         assert report.fail_count == trials and {rec.rank for rec in report.records} == {20}
     assert hashlib.sha256(report.to_csv().encode()).hexdigest() == digest
