@@ -306,7 +306,7 @@ def main(argv: list[str] | None = None) -> int:
     except (rob.ConvergenceError, gram.NonConvergenceError) as exc:
         print(f"error: did not converge: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    except (ValueError, OSError, GraphDisconnectedError) as exc:
+    except (ValueError, OSError, MemoryError, GraphDisconnectedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
 

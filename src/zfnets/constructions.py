@@ -261,13 +261,18 @@ def build_word(k: int, word: Sequence[int]) -> Graph:
     that forces follower k+t.  Then the chain ends are A at every step, and
     build_word(k, word) is G under that numbering.
     """
-    g = Graph(k + len(word), combinations(range(k), 2))
+    g = Graph(k + len(word))
+    adj = g._adj  # every edge below is new and in range, so add_edge's checks are skipped
     active = list(range(k))
+    for a in active:
+        adj[a].update(active)
+        adj[a].discard(a)
     for v, slot in enumerate(word, start=k):
         if not 0 <= slot < k:
             raise ValueError(f"word symbol {slot} is not a slot in 0..{k - 1}")
+        adj[v].update(active)
         for a in active:
-            g.add_edge(a, v)
+            adj[a].add(v)
         active[slot] = v
     return g
 

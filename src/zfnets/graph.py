@@ -1,9 +1,8 @@
 """Simple undirected graphs on vertex set {0, ..., n-1}, plus leader bookkeeping."""
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 if TYPE_CHECKING:
@@ -84,24 +83,14 @@ class Graph:
         g._adj = [set(a) for a in self._adj]
         return g
 
-    def distances_from(self, source: int) -> list[int | None]:
-        """BFS distances from source; None marks unreachable vertices."""
-        self._check_vertex(source)
-        dist: list[int | None] = [None] * self.n
-        dist[source] = 0
-        queue = deque([source])
-        while queue:
-            x = queue.popleft()
-            for y in self._adj[x]:
-                if dist[y] is None:
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
-        return dist
-
     def is_connected(self) -> bool:
         if self.n == 0:
             return True
-        return all(d is not None for d in self.distances_from(0))
+        seen, frontier = {0}, {0}
+        while frontier:
+            frontier = set().union(*map(self._adj.__getitem__, frontier)) - seen
+            seen |= frontier
+        return len(seen) == self.n
 
     def diameter(self) -> int:
         """Largest shortest-path distance D; raises GraphDisconnectedError.
@@ -179,11 +168,12 @@ class Graph:
         """Combinatorial Laplacian L = D - A as a dense float array."""
         import numpy as np
 
-        lap = np.zeros((self.n, self.n), dtype=float)
-        for u in range(self.n):
-            lap[u, u] = len(self._adj[u])
-            for v in self._adj[u]:
-                lap[u, v] = -1.0
+        n, adj = self.n, self._adj
+        deg = np.fromiter(map(len, adj), dtype=np.intp, count=n)
+        lap = np.zeros((n, n), dtype=float)
+        lap[np.repeat(np.arange(n), deg),
+            np.fromiter(chain.from_iterable(adj), dtype=np.intp, count=int(deg.sum()))] = -1.0
+        lap.flat[::n + 1] = deg
         return lap
 
     def __eq__(self, other: object) -> bool:

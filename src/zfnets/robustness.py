@@ -54,7 +54,7 @@ def spectrum(g: Graph) -> SpectrumReport:
         lambda2, kirchhoff = float(ev[1]), float(g.n * np.sum(1.0 / ev[1:]))
     else:
         lambda2, kirchhoff = 0.0, math.inf
-    return SpectrumReport(tuple(float(x) for x in ev), lambda2, kirchhoff, g.n)
+    return SpectrumReport(tuple(ev.tolist()), lambda2, kirchhoff, g.n)
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,15 @@ elimination of the explicit Kalman matrix (vs. lock-step block Krylov
 elimination in float64 BLAS).
 
 It also holds the small helpers only the tests need: the per-family edge
-terms of the closed-form count, the forcing-candidate rescan and the
-boolean form of the controllability report.
+terms of the closed-form count, the edge list of a forcing word, BFS
+distances from one source (the per-source reference for Graph.diameter),
+the forcing-candidate rescan and the boolean form of the controllability
+report.
 """
 from __future__ import annotations
 
 import math
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -41,6 +44,30 @@ def edge_terms_g2(n: int, n_leaders: int) -> tuple[int, int, int]:
     """(bipartite leader-follower edges, path edges, leader clique edges) for G2_BAR."""
     k = n_leaders
     return (n - k) * (k - 1), n - k, k * (k - 1) // 2
+
+
+def word_edges(k: int, word) -> list[tuple[int, int]]:
+    """Edges of build_word(k, word), listed one by one from its definition."""
+    edges = [(a, b) for a in range(k) for b in range(a + 1, k)]
+    active = list(range(k))
+    for t, slot in enumerate(word):
+        edges.extend((a, k + t) for a in active)
+        active[slot] = k + t
+    return edges
+
+
+def bfs_distances(g: Graph, source: int) -> list[int | None]:
+    """BFS distances from source; None marks unreachable vertices."""
+    dist: list[int | None] = [None] * g.n
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        x = queue.popleft()
+        for y in g.neighbors(x):
+            if dist[y] is None:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    return dist
 
 
 def is_controllable_pair(r: SystemRealization) -> bool:

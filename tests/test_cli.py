@@ -505,6 +505,16 @@ def test_oracle_rejects_graphs_beyond_the_exact_limit(tmp_path, capsys):
     assert code == 2 and out == ""
 
 
+def test_oracle_rejects_a_trial_count_too_large_to_allocate(tmp_path, capsys):
+    # the seed array of 10^15 trials (7.11 PiB) is refused before any page is touched
+    path = write_graph(tmp_path, build_g1_bar(12, 3, 4).graph)
+    code = main(["oracle", "--graph", str(path), "--leaders", "0",
+                 "--trials", "1000000000000000"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: Unable to allocate")
+
+
 def test_cli_import_loads_no_scipy():
     code = ("import sys, zfnets.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import g1_feasible, g2_feasible, g3_diameters, grid_points
-from oracles import edge_terms_g1, edge_terms_g2
+from oracles import edge_terms_g1, edge_terms_g2, word_edges
 from zfnets.constructions import (
     FAMILIES,
     ConstructionSpec,
@@ -24,7 +24,7 @@ from zfnets.constructions import (
     normalize_family,
     parse_construction_config,
 )
-from zfnets.graph import export_dot, path_graph, to_edge_list_text
+from zfnets.graph import Graph, export_dot, path_graph, to_edge_list_text
 from zfnets.zero_forcing import is_zfs
 
 
@@ -188,6 +188,13 @@ def test_infeasible_specs_name_the_constraint():
         build_g3_bar(12, 3, 5)
     with pytest.raises(InfeasibleSpecError, match="d <= n/n_leaders"):
         build_g3_bar(12, 6, 3)  # tail would be shorter than one layer
+
+
+@given(st.integers(1, 6).flatmap(
+    lambda k: st.tuples(st.just(k), st.lists(st.integers(0, k - 1), max_size=40))))
+def test_build_word_equals_its_listed_edges(k_word):
+    k, word = k_word
+    assert build_word(k, word) == Graph(k + len(word), word_edges(k, word))
 
 
 def test_build_word_rejects_symbols_outside_the_slots():

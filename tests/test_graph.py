@@ -5,9 +5,10 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import bfs_distances
 from zfnets.constructions import ConstructionSpec, InfeasibleSpecError, build
 from zfnets.graph import (
     Graph,
@@ -87,12 +88,12 @@ def test_edges_plus_non_edges_cover_all_pairs(g):
 
 def test_distance_and_diameter_on_known_graphs():
     p = path_graph(5)
-    assert p.distances_from(0)[4] == 4
-    assert p.distances_from(2)[2] == 0
+    assert bfs_distances(p, 0)[4] == 4
+    assert bfs_distances(p, 2)[2] == 0
     assert p.diameter() == 4
     assert complete_graph(6).diameter() == 1
     two = Graph(4, [(0, 1), (2, 3)])
-    assert two.distances_from(0)[3] is None
+    assert bfs_distances(two, 0)[3] is None
     assert not two.is_connected()
     with pytest.raises(GraphDisconnectedError):
         two.diameter()
@@ -111,7 +112,7 @@ def test_distance_and_diameter_on_known_graphs():
 ], ids=["complete-dominating", "star-dominating", "path-bounds", "cycle-undecided",
         "cocktail-party-undecided"])
 def test_diameter_on_each_path(g, d):
-    assert g.diameter() == d == max(max(g.distances_from(s)) for s in range(g.n))
+    assert g.diameter() == d == max(max(bfs_distances(g, s)) for s in range(g.n))
 
 
 def test_single_node_graph():
@@ -121,13 +122,24 @@ def test_single_node_graph():
     assert g.edges() == []
 
 
-@given(graphs())
+@given(graphs(min_n=0))
+@example(Graph(0))
+@example(Graph(1))
+@example(Graph(4, [(1, 2)]))
 def test_laplacian_structure(g):
-    lap = g.laplacian()
-    assert np.allclose(lap, lap.T)
-    assert np.allclose(lap.sum(axis=1), 0.0)
+    # D - A built entry by entry from the edge list: a misplaced symmetric
+    # off-diagonal pair keeps the row sums and the diagonal, but not this
+    want = np.zeros((g.n, g.n))
+    for u, v in g.edges():
+        want[u, v] = want[v, u] = -1.0
     for v in range(g.n):
-        assert lap[v, v] == len(g.neighbors(v))
+        want[v, v] = len(g.neighbors(v))
+    assert np.array_equal(g.laplacian(), want)
+
+
+@given(st.one_of(graphs(), long_graphs()))
+def test_connected_iff_every_node_is_reached_from_node_0(g):
+    assert g.is_connected() == (None not in bfs_distances(g, 0))
 
 
 @given(graphs(), st.integers(0, 2**31 - 1))
@@ -144,7 +156,7 @@ def test_laplacian_positive_semidefinite_quadratic_form(g, seed):
 @given(st.one_of(graphs(max_n=14), graphs(max_n=14, connected=True), long_graphs()))
 @settings(max_examples=120)
 def test_diameter_matches_per_source_bfs(g):
-    dists = [d for s in range(g.n) for d in g.distances_from(s)]
+    dists = [d for s in range(g.n) for d in bfs_distances(g, s)]
     if None in dists:
         with pytest.raises(GraphDisconnectedError):
             g.diameter()
@@ -172,7 +184,7 @@ def test_family_diameters_match_per_source_bfs():
                 builds += 1
                 g = net.graph
                 assert net.diameter == g.diameter() == want(family, k, d) == max(
-                    max(g.distances_from(s)) for s in range(n)), (family, n, k, d)
+                    max(bfs_distances(g, s)) for s in range(n)), (family, n, k, d)
     assert builds > 2000
 
 
@@ -181,8 +193,8 @@ def test_family_diameters_match_per_source_bfs():
 def test_distance_triangle_inequality(g):
     if g.n < 3:
         return
-    d0 = g.distances_from(0)
-    d_last = g.distances_from(g.n - 1)
+    d0 = bfs_distances(g, 0)
+    d_last = bfs_distances(g, g.n - 1)
     direct = d0[g.n - 1]
     for w in range(g.n):
         assert direct <= d0[w] + d_last[w]

@@ -126,6 +126,19 @@ def test_spectrum_edge_cases():
     assert split.lambda2 == 0.0 and split.kirchhoff == math.inf
 
 
+@pytest.mark.parametrize("n, k", [(12, 2), (12, 3), (60, 4), (120, 8), (240, 4), (240, 6)])
+def test_g2bar_spectrum_matches_the_join_formula(n, k):
+    # g2bar is the join K_{k-1} v P_{n-k+1}: each path eigenvalue but 0 rises
+    # by k - 1, and the join adds n with multiplicity k - 1
+    m = n - k + 1
+    want = sorted([0.0] + [float(n)] * (k - 1)
+                  + [k + 1 - 2 * math.cos(math.pi * j / m) for j in range(1, m)])
+    rep = spectrum(build_g2_bar(n, k).graph)
+    assert np.allclose(rep.eigenvalues, want, rtol=0.0, atol=1e-9)
+    assert rep.lambda2 == pytest.approx(want[1], rel=0.0, abs=1e-9)
+    assert rep.kirchhoff == pytest.approx(n * sum(1.0 / x for x in want[1:]), rel=1e-9)
+
+
 @given(st.integers(0, 2**31 - 1), st.integers(1, 14), st.sampled_from([0.1, 0.2, 0.3, 0.5]))
 @settings(max_examples=150, deadline=None)
 def test_lambda2_is_positive_iff_connected(seed, n, p):
