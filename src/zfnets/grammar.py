@@ -38,9 +38,23 @@ and b, so a listing can change only for
 The index drops the new edge's two keys, takes each relabelled node out
 of the bindings whose guard admits its old label and puts it into those
 whose guard admits its new one (one whose guard admits neither was not
-listed and is not), then rebuilds the node's own keys.  So the keys list
-the same matches in the same order as a full scan, and a seed gives the
-same schedule whichever way the matches are found.
+listed and is not), then rebuilds the node's own keys.  A listed binding's
+nodes have its rule's kinds, so only the connect rules over the edge's
+pre-rewrite end kinds, and only the rules that read a relabelled node's
+old or new kind, are visited.  So the keys list the same matches in the
+same order as a full scan, and a seed gives the same schedule whichever
+way the matches are found.
+
+A rule may name a join key per side, `join = (left_key, right_key)`: its
+guard can pass only when `left_key(a) == right_key(b)`.  The index keeps
+each keyed side's label groups in buckets by key and, for a label, asks
+the guard only about the partner labels in the bucket its key names (the
+hashed join of Rete; Forgy, Artificial Intelligence 19(1), 1982).  A rule
+without a join reads every label of the partner kind.  The guard stays the
+authority, so a join that is too wide costs guard calls and one that is
+too narrow loses matches: a `dataclasses.replace` of a keyed rule's guard
+must keep its join valid.  R1 keys r6, r7 and r8 by layer, so a new chain
+node is tried against one layer's labels instead of every BETA label.
 
 The scheduler draws from `_Pcg64`, zfnets' own PCG64 stream, equal to numpy
 2.4.6's `default_rng(seed).integers(total)` draw for draw.  NumPy does not
@@ -51,7 +65,7 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Hashable, Iterable, NamedTuple, Optional
 
 from .constructions import ConstructedNetwork
 from .graph import Graph
@@ -124,6 +138,7 @@ class LabeledGraph:
 
 Guard = Callable[[Label, Optional[Label]], bool]
 Relabel = Callable[[Label, Optional[Label]], Label]
+JoinKey = Callable[[Label], Hashable]
 
 
 @dataclass(frozen=True)
@@ -137,6 +152,14 @@ class Rule:
     edge, never a neighbourhood.  A one-node rule must set only
     `relabel_left`; a two-node rule must connect or set both relabels, so
     its effect names both nodes.  Other shapes raise ValueError.
+
+    `join = (left_key, right_key)`, read only on a two-node rule, declares a
+    necessary condition of the guard: `guard(a, b)` may pass only when
+    `left_key(a) == right_key(b)`.  The match index then reads only the
+    partner labels whose key equals the bound label's, and the guard still
+    decides among them.  A rule without a join reads every label of the
+    partner kind.  A `dataclasses.replace` of a keyed rule's guard must
+    keep the join valid for the new guard, or matches go missing.
     """
 
     name: str
@@ -147,6 +170,7 @@ class Rule:
     connect: bool = False
     relabel_left: Relabel | None = None
     relabel_right: Relabel | None = None
+    join: tuple[JoinKey, JoinKey] | None = None
 
     def __post_init__(self) -> None:
         if self.right is None:
@@ -230,13 +254,13 @@ def grammar_r1(n_leaders: int, d: int) -> list[Rule]:
         r5,
         Rule("r6", PI2, LEADER, BETA,
              guard=lambda a, b: b.j == 1 and b.i <= a.i,
-             connect=True),
+             connect=True, join=(lambda a: 1, lambda b: b.j)),
         Rule("r7", PI2, BETA, BETA,
              guard=lambda a, b: b.j == a.j + 1 and b.i < a.i,
-             connect=True),
+             connect=True, join=(lambda a: a.j + 1, lambda b: b.j)),
         Rule("r8", PI2, BETA, BETA,
              guard=lambda a, b: b.j == a.j and b.i != a.i,
-             connect=True),
+             connect=True, join=(lambda a: a.j, lambda b: b.j)),
     ]
 
 
@@ -321,19 +345,30 @@ def _mirrored(rule: Rule, la: Label, lb: Label) -> bool:
             and rl(la, lb) == rr(lb, la) and rr(la, lb) == rl(lb, la))
 
 
+def _whole_kind(lab: Label) -> None:
+    """The join key of a rule without a join: every label shares it."""
+    return None
+
+
 class _MatchIndex:
     """Listed bindings of every rule, kept current as one run rewrites.
 
     Per rule, `keys[r]` is one sorted list holding v * n + u for each
     listed binding (v, u), or v * n + v for a listed one-node binding; as
     u < n, key order is (v, u) order, the full scan's listing.  Nodes are
-    kept by kind and then by label in sorted lists, and a node's keys are
-    built with one guard call per partner label.  A binding whose reverse
-    comes first with the same effect is left out by the two labels alone
-    (`_mirrored`), so a binding's listing reads only its pair, and `apply`
-    rewrites the state and updates only the keys the rewrite can change
-    (the module docstring has the argument).  Rule names must be unique
-    within the rule list; `_positions` checks that here and in `replay`.
+    kept by kind and then by label in sorted lists (`kinds`).  Each side of
+    a two-node rule reads those groups through its buckets, join key ->
+    {label: group}, so a node's keys are built with one guard call per label
+    in the bucket its own label's key names.  A keyed side's buckets hold
+    the same group lists as `kinds` and change only when a group is created
+    or emptied; a side without a join has the one bucket None, the kind's
+    own label dict, so it reads every label of the kind.  A binding whose
+    reverse comes first with the same effect is left out by the two labels
+    alone (`_mirrored`), so a binding's listing reads only its pair, and
+    `apply` rewrites the state and updates only the keys the rewrite can
+    change (the module docstring has the argument).  Rule names must be
+    unique within the rule list; `_positions` checks that here and in
+    `replay`.
     """
 
     def __init__(self, state: LabeledGraph, rules: Iterable[Rule]):
@@ -341,11 +376,39 @@ class _MatchIndex:
         self.rules = list(rules)
         _positions(self.rules)
         self.n = n = state.graph.n
-        self.kinds: dict[str, dict[Label, list[int]]] = {}
+        self.kinds: dict[str, dict[Label, list[int]]] = {
+            kind: {} for rule in self.rules for kind in (rule.left, rule.right) if kind}
         for v, lab in enumerate(state.labels):
             self.kinds.setdefault(lab.kind, {}).setdefault(lab, []).append(v)
+        # kind -> (join key, buckets) of every keyed rule side of that kind
+        self.keyed: dict[str, list[tuple[JoinKey, dict]]] = {}
+        # per two-node rule: (left key, left buckets, right key, right buckets)
+        self.sides: list[tuple | None] = []
+        # kind -> rules reading it; the kinds of a new edge's ends -> connect rules
+        self.reading: dict[str, list[int]] = {}
+        self.joining: dict[frozenset, list[int]] = {}
+        self.pools: dict[str, list[int]] = {}
+        for r, rule in enumerate(self.rules):
+            self.pools.setdefault(rule.phase, []).append(r)
+            for kind in {rule.left, rule.right} - {None}:
+                self.reading.setdefault(kind, []).append(r)
+            if rule.connect:
+                self.joining.setdefault(frozenset((rule.left, rule.right)), []).append(r)
+            left_key, right_key = rule.join or (None, None)
+            self.sides.append(None if rule.right is None else
+                              (*self._side(rule.left, left_key), *self._side(rule.right, right_key)))
         self.keys = [[key for v in range(n) for key in self._row(r, v)]
                      for r in range(len(self.rules))]
+
+    def _side(self, kind: str, key: JoinKey | None) -> tuple[JoinKey, dict]:
+        """A rule side's join key and buckets, registered for upkeep if keyed."""
+        if key is None:
+            return _whole_kind, {None: self.kinds[kind]}
+        buckets: dict = {}
+        for lab, group in self.kinds[kind].items():
+            buckets.setdefault(key(lab), {})[lab] = group
+        self.keyed.setdefault(kind, []).append((key, buckets))
+        return key, buckets
 
     def _row(self, r: int, v: int) -> list[int]:
         """Keys, sorted, of v's bindings (v, u) that pass kinds, guard and
@@ -355,9 +418,10 @@ class _MatchIndex:
             return []
         if rule.right is None:
             return [base + v] if rule.guard(lv, None) else []
+        left_key, _, _, rights = self.sides[r]
         near = self.state.graph.neighbors(v) if rule.connect else ()
         row: list[int] = []
-        for lb, group in self.kinds.get(rule.right, {}).items():
+        for lb, group in rights.get(left_key(lv), {}).items():
             if rule.guard(lv, lb):
                 start = bisect_right(group, v) if _mirrored(rule, lv, lb) else 0
                 row += [base + u for u in group[start:] if u != v and u not in near]
@@ -376,17 +440,39 @@ class _MatchIndex:
         rule, new, n = self.rules[r], self.state.labels[w], self.n
         if rule.right not in (old.kind, new.kind):
             return
-        near = self.state.graph.neighbors(w) if rule.connect else ()
-        for la, group in self.kinds.get(rule.left, {}).items():
-            if old.kind == rule.right and rule.guard(la, old):
-                for v in group:
-                    if v != w:
-                        self._drop(r, v * n + w)
-            if new.kind == rule.right and rule.guard(la, new):
-                above = _mirrored(rule, la, new)  # then (v, w) is listed only for v < w
-                for v in group:
-                    if v != w and v not in near and not (above and w < v):
-                        insort(self.keys[r], v * n + w)
+        _, lefts, right_key, _ = self.sides[r]
+        if old.kind == rule.right:
+            for la, group in lefts.get(right_key(old), {}).items():
+                if rule.guard(la, old):
+                    for v in group:
+                        if v != w:
+                            self._drop(r, v * n + w)
+        if new.kind == rule.right:
+            near = self.state.graph.neighbors(w) if rule.connect else ()
+            for la, group in lefts.get(right_key(new), {}).items():
+                if rule.guard(la, new):
+                    above = _mirrored(rule, la, new)  # then (v, w) is listed only for v < w
+                    for v in group:
+                        if v != w and v not in near and not (above and w < v):
+                            insort(self.keys[r], v * n + w)
+
+    def _regroup(self, v: int, old: Label) -> None:
+        """Move v from its old label's group to its new one's, and put a
+        created group into, or take an emptied one out of, its buckets (an
+        emptied bucket stays, empty)."""
+        new, labels = self.state.labels[v], self.kinds[old.kind]
+        group = labels[old]
+        del group[bisect_left(group, v)]
+        if not group:
+            del labels[old]
+            for key, buckets in self.keyed.get(old.kind, ()):
+                del buckets[key(old)][old]
+        labels = self.kinds.setdefault(new.kind, {})
+        if new not in labels:
+            labels[new] = []
+            for key, buckets in self.keyed.get(new.kind, ()):
+                buckets.setdefault(key(new), {})[new] = labels[new]
+        insort(labels[new], v)
 
     def _match(self, r: int, v: int, u: int) -> Match:
         rule = self.rules[r]
@@ -399,10 +485,9 @@ class _MatchIndex:
     def draw(self, rng: _Pcg64, prefer_phase: str | None) -> Match | None:
         """One uniformly random listed match (of prefer_phase when it has one)."""
         pool = range(len(self.rules))
-        if prefer_phase is not None:
-            preferred = [r for r in pool if self.rules[r].phase == prefer_phase]
-            if any(self.keys[r] for r in preferred):
-                pool = preferred
+        preferred = self.pools.get(prefer_phase, ())
+        if any(self.keys[r] for r in preferred):
+            pool = preferred
         total = sum(len(self.keys[r]) for r in pool)
         if total == 0:
             return None
@@ -413,21 +498,26 @@ class _MatchIndex:
             i -= len(self.keys[r])
 
     def apply(self, match: Match) -> None:
-        """Rewrite the state by a listed match and update the keys it can change."""
-        state, kinds, n = self.state, self.kinds, self.n
+        """Rewrite the state by a listed match and update the keys it can change.
+
+        A listed binding's nodes have its rule's kinds, so only the connect
+        rules over the new edge's pre-rewrite end kinds can list its keys,
+        and only the rules reading a relabelled node's old or new kind can
+        change with it."""
+        state, n = self.state, self.n
         edge, relabels = effect = _match_effect(state, match.rule, match.nodes)
-        moved = {v: state.labels[v] for v, lab in relabels if lab != state.labels[v]}
-        _rewrite(state, effect)
-        for v, old in moved.items():
-            group = kinds[old.kind][old]
-            del group[bisect_left(group, v)]
-            if not group:
-                del kinds[old.kind][old]
-            insort(kinds.setdefault(state.labels[v].kind, {}).setdefault(state.labels[v], []), v)
-        for r, rule in enumerate(self.rules):
-            if edge is not None and rule.connect:
+        if edge is not None:
+            ends = frozenset(state.labels[v].kind for v in edge)
+            for r in self.joining.get(ends, ()):
                 for a, b in (edge, edge[::-1]):
                     self._drop(r, a * n + b)
+        moved = {v: state.labels[v] for v, lab in relabels if lab != state.labels[v]}
+        _rewrite(state, effect)
+        touched: set[int] = set()
+        for v, old in moved.items():
+            self._regroup(v, old)
+            touched.update(self.reading.get(old.kind, ()), self.reading.get(state.labels[v].kind, ()))
+        for r in touched:
             for w, old in moved.items():
                 self._move_partner(r, w, old)
             keys = self.keys[r]

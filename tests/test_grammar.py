@@ -405,13 +405,47 @@ def test_r1_at_240_nodes_keeps_its_schedule_and_runs_in_seconds():
     assert elapsed < 10.0, f"r1 at n=240 took {elapsed:.1f} s"
 
 
+def test_r1_makes_a_few_guard_calls_per_step():
+    # Keyed partner lookup: a new chain node is tried against one layer's
+    # BETA labels, not every BETA label (the scan made 116,002 calls here).
+    calls = []
+
+    def counted(rule):
+        def guard(a, b):
+            calls.append(rule.name)
+            return rule.guard(a, b)
+        return rule if rule.right is None else dataclasses.replace(rule, guard=guard)
+
+    rules = [counted(rule) for rule in grammar_r1(4, 60)]
+    _, schedule = run_to_fixpoint(initial_state(240), rules, seed=7)
+    assert _sha(schedule.to_text()) == (
+        "177fc386277f28ce6ed0fe4ed8d611ee8321525430fcffc5ce0370493d0207d7"
+    )
+    assert len(calls) <= 8 * len(schedule.steps), (len(calls), len(schedule.steps))
+
+
+@pytest.mark.parametrize("k, d", [(2, 6), (4, 5), (5, 8)])
+def test_r1_joins_are_necessary_conditions_of_their_guards(k, d):
+    labels = [lab for i in range(1, k + 1) for lab in (
+        Label(LEADER, i), Label(LEADER, i, 0),
+        *(Label(kind, i, j) for kind in (BETA, GAMMA) for j in range(1, d)))]
+    keyed = [rule for rule in grammar_r1(k, d) if rule.join is not None]
+    assert [rule.name for rule in keyed] == ["r6", "r7", "r8"]
+    for rule in keyed:
+        left_key, right_key = rule.join
+        for a in (lab for lab in labels if lab.kind == rule.left):
+            for b in (lab for lab in labels if lab.kind == rule.right):
+                assert not rule.guard(a, b) or left_key(a) == right_key(b), (rule.name, a, b)
+
+
 @pytest.mark.parametrize("make_rules, n", [
     (lambda: grammar_r1(3, 4), 12),
     (lambda: grammar_r1(4, 5), 20),
+    (lambda: grammar_r1(5, 6), 30),
     (lambda: grammar_r2(12, 3), 12),
     (lambda: grammar_r2(20, 4), 20),
     (lambda: grammar_r2_narrow(12, 3), 12),
-], ids=["r1-n12", "r1-n20", "r2-n12", "r2-n20", "r2-narrow-n12"])
+], ids=["r1-n12", "r1-n20", "r1-k5", "r2-n12", "r2-n20", "r2-narrow-n12"])
 @pytest.mark.parametrize("prefer", [None, PI1, PI2])
 def test_match_index_equals_rescan_on_every_step(monkeypatch, make_rules, n, prefer):
     draw = grammar._MatchIndex.draw
@@ -464,8 +498,10 @@ def _random_labeled_graph(rng, n: int) -> LabeledGraph:
 # leave its match listed; relabels that move a node to another kind; a guard
 # on the right label; a fire-once guard on the left label, which the rule
 # itself sets from the right label; connect rules within one kind, whose
-# reverse bindings may share an effect; and `swap`, which relabels both of
-# its nodes without joining them, so its reverse binding is new after it.
+# reverse bindings may share an effect; `swap`, which relabels both of its
+# nodes without joining them, so its reverse binding is new after it; and
+# `hop`, a keyed rule whose relabels move both nodes to other join keys,
+# creating and emptying label groups and so buckets.
 EDGE_CASE_RULES = [
     Rule("bump", PI1, BETA, ALPHA, guard=lambda a, b: a.i < 4,
          relabel_left=lambda a, b: Label(BETA, a.i + 1), relabel_right=lambda a, b: b),
@@ -482,6 +518,10 @@ EDGE_CASE_RULES = [
          relabel_left=lambda a, b: a, relabel_right=lambda a, b: Label(BETA, a.i)),
     Rule("swap", PI1, GAMMA, BETA, guard=lambda a, b: a.i != b.i,
          relabel_left=lambda a, b: Label(BETA, a.i), relabel_right=lambda a, b: Label(GAMMA, b.i)),
+    Rule("hop", PI2, GAMMA, BETA, guard=lambda a, b: b.i == a.i + 1,
+         join=(lambda a: a.i + 1, lambda b: b.i),
+         relabel_left=lambda a, b: Label(GAMMA, b.i, a.j),
+         relabel_right=lambda a, b: Label(BETA, a.i, b.j)),
 ]
 
 
