@@ -238,8 +238,8 @@ def from_edge_list_text(text: str) -> Graph:
 
     Blank lines are skipped.  One '# n=<count>' header fixes the vertex
     count; other comment lines are ignored.  Without a header the count is
-    max id + 1.  A bad line, a negative count or a second header raises
-    ValueError('line <k>: ...').
+    max id + 1.  A bad line, a negative count, a second header or an edge
+    given twice, in either orientation, raises ValueError('line <k>: ...').
     """
     edges: list[tuple[int, int, int]] = []
     n: int | None = None
@@ -268,7 +268,9 @@ def from_edge_list_text(text: str) -> Graph:
     g = Graph(n)
     try:
         for u, v, lineno in edges:
-            g.add_edge(u, v)
+            if not g.add_edge(u, v):
+                first = next(j for a, b, j in edges if {a, b} == {u, v})
+                raise ValueError(f"repeated edge {u} {v} (first on line {first})")
     except ValueError as exc:
         raise ValueError(f"line {lineno}: {exc}") from None
     return g

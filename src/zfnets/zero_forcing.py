@@ -7,14 +7,15 @@ controllability of the pair (graph, leaders).  Only _run applies forces;
 derived_set, closure and is_unique_process each read one run of it, and
 _verify reads the ZFS, uniqueness and maximality verdicts off one run.
 is_maximal_for_zfs answers from the edge bound kn - k(k+1)/2 when the graph
-meets it, and otherwise resumes the recorded forcing order, with one _run
-per forcer that an added edge can stall.
+meets it, and otherwise from the same run: per-node bitsets of the recorded
+forces that need each node black give every forcer's stalled white set.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Iterable
+from itertools import compress, count, repeat
+from typing import Iterable, Iterator
 
 from .constructions import expected_edges
 from .graph import Graph, LeaderSet
@@ -35,6 +36,15 @@ class ForcingTrace:
     def to_text(self) -> str:
         """One 'FORCE forcer forced' line per step (golden-file friendly)."""
         return "".join(f"FORCE {v} {u}\n" for v, u in self.steps)
+
+
+_ONE = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of mask >= 0, ascending: bin(mask) read
+    backwards, with each '1' mapped to a true byte."""
+    return compress(count(), bin(mask)[:1:-1].encode().translate(_ONE))
 
 
 def _as_black_set(g: Graph, black: Iterable[int]) -> set[int]:
@@ -136,37 +146,41 @@ def is_maximal_for_zfs(
     Returns (maximal, violations) where violations lists every non-edge whose
     addition would preserve the ZFS property, in lexicographic order.  Raises
     ValueError when the leaders are not a ZFS of g in the first place.  One
-    forcing run of g settles most non-edges; the rest share at most one
-    resumed run per forcer.
+    forcing run of g answers every non-edge.
 
-    Edge bound.  Say k leaders force all n nodes.  A node that has forced has
-    no white neighbor from then on, so only the black nodes that have not
-    forced yet (the chain ends) can have white neighbors; there are always
-    k of them, as each force retires one and adds the node it forces.  When
-    y turns black, each neighbor that is already black is therefore a chain
-    end: y has at most k earlier neighbors.  Counting each edge at its later
-    endpoint, plus at most C(k, 2) edges among the leaders, gives
-    |E| <= C(k, 2) + k(n - k) = kn - k(k+1)/2.  Adding an edge to a graph
-    at the bound would break it, so such a graph is maximal: an O(m) answer.
-    constructions.build_word builds exactly the graphs at the bound.
+    Edge bound.  Number the nodes in the order they turn black, leaders
+    first, and let t(u) be the node u forces (n if none).  A node that has
+    forced has no white neighbor from then on, so when v turns black its
+    earlier neighbors are chain ends, the black nodes that have not forced
+    yet.  There are always k of them, as each force retires one and adds
+    one.  Counting each edge at its later endpoint, plus at most C(k, 2)
+    edges among the leaders, gives |E| <= kn - k(k+1)/2.  Each edge short of
+    that count leaves a consistent non-edge uv, u < v <= t(u): two leaders,
+    or v and a chain end u other than v's forcer.  Adding it keeps every
+    recorded step legal, as v is black when u forces and u when v does.  So
+    the maximal ZFS graphs are exactly the graphs at the bound, which
+    constructions.build_word builds, and at the bound the answer is O(m).
 
     Below the bound.  Adding uv changes only the white counts of u and v, so
     the recorded steps stay legal in G + uv up to the first one whose forcer
-    is one endpoint while the other is still white.  With no such step the
-    whole record is legal and uv is addable.  Otherwise call that forcer x,
-    the node it forces w and the other endpoint y; only one endpoint can be
-    x, since x turned black before y and y forces only after that.  From the
-    black set B before the step, x has two white neighbors in G + uv, w and
-    y, so x is stuck, as it is in G with the edge xw cut, and the counts of
-    all other black nodes agree: the two graphs force alike until w or y
-    turns black.  Let R be the closure of B in G - xw.  Once w is black,
-    every count in G - xw is what it is in G, and in G any black set holding
-    the leaders forces every node; so if R holds w, R holds y too.  If R
-    misses y, G + uv therefore stops at R.  If R holds y, then in G + uv
-    y turns black, or w does first and x forces y.  Either way x and y are
-    both black, the edge xy changes no count from then on, and G + uv forces
-    every node as G does.  So uv is addable iff R holds y, and R depends on
-    x alone.
+    is one endpoint while the other is still white.  With no such step uv is
+    consistent.  Otherwise call that forcer x, the node it forces w and the
+    other endpoint y.  In G + uv, x has two white neighbors, w and y, so it
+    is stuck as it is in G - xw, and the two graphs force alike until w or y
+    turns black.  Let R be the closure of the leaders in G - xw.  Once w is
+    black, every count in G - xw is what it is in G, where any black set
+    holding the leaders forces every node; so if R holds w, R holds every
+    node.  If R misses y, G + uv therefore stops at R.  If R holds y, then
+    in G + uv y turns black, or w does first and x forces y; the edge xy
+    changes no count from then on, and G + uv forces every node.  So uv is
+    addable iff R holds y.  To find R, let dep[z] be z plus every node whose
+    recorded force needs z black, where the step (a, b) needs N[a] - b; one
+    reverse pass over the steps gives every dep.  A recorded step that
+    forces a node outside dep[w] needs no node of dep[w], so its forcer is
+    neither x nor w and it is legal in G - xw: R contains V - dep[w].  The
+    forcing rule run on the white set dep[w] alone, with x counting no white
+    neighbor, completes R.  The run is needed: a black node that never
+    forced may force into dep[w].
     """
     scan = _verify(g, leaders)[2]
     if scan is None:
@@ -188,34 +202,31 @@ def _verify(
         return False, unique, None
     if g.edge_count() == expected_edges(n, k):
         return True, unique, (True, [])
-    steps = trace.steps
-    turned = [-1] * n  # step at which each node turned black; -1 for leaders
-    forced_at = [len(steps)] * n  # step at which each node forced; len(steps) if never
-    for i, (x, y) in enumerate(steps):
-        forced_at[x] = i
-        turned[y] = i
-    work = g.copy()
-    reached: dict[int, frozenset[int]] = {}
-
-    def addable(x: int, y: int) -> bool:
-        """Whether G + xy keeps the ZFS, given that x forces while y is white."""
-        if x not in reached:
-            i = forced_at[x]
-            w = steps[i][1]
-            before = trace.initial_black.union(u for _, u in steps[:i])
-            work.remove_edge(x, w)
-            reached[x] = closure(work, before)
-            work.add_edge(x, w)
-        return y in reached[x]
-
+    nbrs = [g.neighbors(v) for v in range(n)]
+    adj = [sum(1 << u for u in a) for a in nbrs]
+    dep = [1 << v for v in range(n)]  # v and every node whose recorded force needs v black
+    near = [a | 1 << v for v, a in enumerate(adj)]  # dep[v] and its neighbors
+    for x, z in reversed(trace.steps):
+        for a in (x, *nbrs[x]):
+            if a != z:
+                dep[a] |= dep[z]
+                near[a] |= near[z]
+    bad = [0] * n  # bad[u]: every v such that G + uv stalls
+    for x, w in trace.steps:
+        white, not_x = dep[w], ~(1 << x)  # in G - xw, x has no white neighbor
+        todo = near[w] & ~white & not_x  # the black nodes that may force
+        while todo:
+            b = todo.bit_length() - 1
+            todo ^= 1 << b
+            s = adj[b] & white
+            if s and not s & (s - 1):  # b has one white neighbor, and forces it
+                white ^= s
+                todo |= (adj[s.bit_length() - 1] | s) & ~white & not_x
+        white &= ~(1 << w)  # now V - R, less x's neighbor w
+        bad[x] |= white
+        for y in _bits(white):
+            bad[y] |= 1 << x
     violations: list[tuple[int, int]] = []
-    for u, v in g.non_edges():
-        if turned[v] > forced_at[u]:
-            ok = addable(u, v)
-        elif turned[u] > forced_at[v]:
-            ok = addable(v, u)
-        else:
-            ok = True
-        if ok:
-            violations.append((u, v))
+    for u in range(n):  # row u: the v > u that are neither neighbors nor bad
+        violations.extend(zip(repeat(u), _bits(~(adj[u] | bad[u]) & (1 << n) - (2 << u))))
     return True, unique, (not violations, violations)

@@ -221,6 +221,16 @@ def test_verify_names_the_edge_list_line_at_fault(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_verify_rejects_an_edge_given_twice(tmp_path, capsys):
+    path = tmp_path / "g.edges"
+    path.write_text("0 1\n1 2\n2 1\n")
+    code = main(["verify", "--graph", str(path), "--leaders", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: line 3: repeated edge 2 1 (first on line 2)\n"
+    assert captured.out == ""
+
+
 def test_graph_commands_take_the_node_count_from_the_header(tmp_path, capsys):
     # a 10-node g1bar whose header claims 12 nodes: the two extra nodes are
     # isolated, so the leaders cannot force them

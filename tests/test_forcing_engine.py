@@ -21,9 +21,11 @@ from oracles import (
     addable_edges_exhaustive,
     closure_bruteforce,
     derived_set_rescan,
+    forcing_candidates,
     is_unique_rescan,
 )
 from zfnets import constructions as cons
+from zfnets import zero_forcing
 from zfnets.graph import Graph, LeaderSet
 from zfnets.zero_forcing import closure, derived_set, is_maximal_for_zfs, is_unique_process
 
@@ -111,6 +113,88 @@ def test_maximality_matches_bruteforce_near_the_bound(spec, drops, seed):
     maximal, violations = is_maximal_for_zfs(g, LeaderSet(tuple(leaders)))
     assert violations == expected
     assert maximal == (not expected)
+
+
+def consistent_non_edges(g: Graph, leaders: set[int]) -> set[tuple[int, int]]:
+    """The non-edges uv with u < v <= t(u), where nodes are numbered in the
+    order they turn black (leaders first) and t(u) is the number of the node
+    u forces, or n if u never forces."""
+    steps = derived_set(g, leaders).steps
+    num = {v: i for i, v in enumerate(sorted(leaders) + [z for _, z in steps])}
+    t = {v: g.n for v in num}
+    t.update((x, num[z]) for x, z in steps)
+    out = set()
+    for a, b in g.non_edges():
+        u, v = sorted((a, b), key=num.get)
+        if num[v] <= t[u]:
+            out.add((a, b))
+    return out
+
+
+@st.composite
+def zfs_graphs(draw):
+    """A random graph with added leaders until they force it, or a relabelled
+    small construction with up to three edges dropped while the leaders force."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 14))
+        g = random_graph(rng, n, draw(st.floats(0.0, 1.0)))
+        leaders = {v for v in range(n) if rng.uniform() < 0.3}
+        while white := set(range(n)) - closure_bruteforce(g, leaders):
+            leaders.add(min(white))
+        return g, leaders
+    net = cons.build(draw(st.sampled_from(SMALL_SPECS)))
+    perm = [int(x) for x in rng.permutation(net.graph.n)]
+    g = Graph(net.graph.n, ((perm[u], perm[v]) for u, v in net.graph.edges()))
+    leaders = {perm[v] for v in net.leaders}
+    edges = g.edges()
+    for idx in rng.permutation(len(edges))[:draw(st.integers(0, 3))]:
+        g.remove_edge(*edges[idx])
+        if len(closure_bruteforce(g, leaders)) != g.n:
+            g.add_edge(*edges[idx])
+    return g, leaders
+
+
+@given(zfs_graphs())
+@settings(max_examples=200, deadline=None)
+def test_consistent_non_edges_are_violations_and_exist_below_the_bound(g_leaders):
+    g, leaders = g_leaders
+    consistent = consistent_non_edges(g, leaders)
+    maximal, violations = is_maximal_for_zfs(g, LeaderSet(tuple(leaders)))
+    assert consistent <= set(violations)
+    below = g.edge_count() < _edge_bound(g.n, len(leaders))
+    assert bool(consistent) == below == (not maximal)
+
+
+def test_g1_scan_makes_one_forcing_run_and_no_closure(monkeypatch):
+    net = cons.build_g1(120, 4, 30)
+    runs, closures = [], []
+    engine, close = zero_forcing._run, zero_forcing.closure
+    monkeypatch.setattr(zero_forcing, "_run", lambda *a: runs.append(a) or engine(*a))
+    monkeypatch.setattr(zero_forcing, "closure", lambda *a: closures.append(a) or close(*a))
+    maximal, violations = is_maximal_for_zfs(net.graph, net.leaders)
+    assert not maximal and len(violations) == 6 * 30 * 30 - 6
+    assert len(runs) == 1 and closures == []
+
+
+def test_a_black_node_that_never_forced_grows_the_stalled_set():
+    # The record is 0 -> 1, 1 -> 2, 2 -> 4; leader 3 never forces.
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (2, 4)])
+    leaders = {0, 3}
+    assert derived_set(g, leaders).steps == ((0, 1), (1, 2), (2, 4))
+    # Cutting 1-2 loses the forces that need 2 black, dep[2] = {2, 4}; the
+    # rest, {0, 1, 3}, is not closed: leader 3 forces 2, and 2 then forces 4.
+    h = g.copy()
+    h.remove_edge(1, 2)
+    assert forcing_candidates(h, {0, 1, 3}) == [(3, 2)]
+    assert closure(h, leaders) == frozenset(range(5))
+    # Likewise with 0-1 cut, dep[1] = {1, 2, 4} and leader 3 forces 2.
+    h = g.copy()
+    h.remove_edge(0, 1)
+    assert forcing_candidates(h, {0, 3}) == [(3, 2)]
+    violations = [(0, 2), (0, 3), (1, 3), (1, 4), (3, 4)]
+    assert addable_edges_exhaustive(g, leaders) == violations
+    assert is_maximal_for_zfs(g, LeaderSet((0, 3))) == (False, violations)
 
 
 @given(st.integers(0, 2**31 - 1), st.integers(1, 10), st.floats(0.0, 1.0))
