@@ -24,14 +24,30 @@ The rank is exact in float64 BLAS (Dumas, Giorgi & Pernet, ACM TOMS 35(3),
 below 2**53 - 2**24: every partial sum is an exact integer, in any order, with
 or without FMA.  Longer products split a factor into lo + 4096 hi, |lo| <=
 2**11 and |hi| <= 2**12, and each half sums to below 2**13 * 2**36 = 2**49 for
-n <= MAX_N.  _reduce maps an integer |x| <= 2**53 - 2**24 to r = x - PRIME *
-rint(x * fl(1/PRIME)): the quotient is off by under 2**-23, so |r| <= (PRIME -
-1)/2 + 4 = 2**24 - 16, x - r is exact, and r == 0 exactly when PRIME divides x.
+n <= MAX_N.  The halves are stacked as one operand [hi; lo], so a split
+product is one BLAS call that streams the other factor once, and the block
+of a Krylov step is split once for both of its products.  _reduce maps an
+integer |x| <= 2**53 - 2**24 to r = x - PRIME * rint(x * fl(1/PRIME)): the
+quotient is off by under 2**-23, so |r| <= (PRIME - 1)/2 + 4 = 2**24 - 16,
+x - r is exact, and r == 0 exactly when PRIME divides x.
+
+Gauss-Jordan elimination scales each pivot row to head 1 as soon as its head
+is found, in the same pass that clears the head's column from the other rows:
+that pass subtracts 1 - 1/head times the pivot row from itself, with 1/head
+in [0, PRIME), so |1 - 1/head| < 2**25 keeps those products below 2**49 too.  The reduced row echelon form is unique for
+the chosen pivot columns, and each column is chosen from a row's nonzero
+pattern, which no nonzero scale changes, so the ranks are those of
+fraction-free elimination.  A row's heads across the batch are inverted
+together by Montgomery's batch inversion (Math. Comp. 48, 1987): one pow per
+batch of heads and three multiplications per head.
+
 Trials run in lock-step batches of at most _BATCH_ELEMENTS operator entries,
 a fixed working-set budget: one batch holds the 20 trials of a check at
-N=120, and 9 trials at N=240.  Each realization is drawn straight into the
-batch's float operator stack, since its weights are already residues, and
-_ranks takes every elimination step for the whole batch at once.
+N=120, and 9 trials at N=240.  Each trial draws from its own
+default_rng(seed) stream, so any record replays through sample_realization,
+and a batch's weights, already residues, go straight into its float operator
+stack with three flat-index writes.  _ranks takes every elimination step for
+the whole batch at once.
 """
 from __future__ import annotations
 
@@ -62,13 +78,39 @@ class SystemRealization:
     seed: int
 
 
-def _draw(m: np.ndarray, seed: int, u: np.ndarray, v: np.ndarray) -> None:
-    """Edge weights in +/-[1, MAX_WEIGHT] into m[u, v] and m[v, u], diagonal in [-W, W]."""
-    rng = np.random.default_rng(seed)
-    w = rng.integers(-MAX_WEIGHT, MAX_WEIGHT, size=u.size)
-    w[w >= 0] += 1  # [-W, W) -> +/-[1, W]
-    m[u, v] = m[v, u] = w
-    np.fill_diagonal(m, rng.integers(-MAX_WEIGHT, MAX_WEIGHT + 1, size=len(m)))
+def _invert(heads: list[int]) -> list[int]:
+    """pow(h, -1, PRIME) for each h, 0 for h == 0, with a single pow.
+
+    Montgomery's batch inversion (Math. Comp. 48, 1987): prefix products of
+    the nonzero heads, one inverse of the last, then a backward pass peels
+    each inverse off it, three multiplications per head.
+    """
+    prefix, p = [], 1
+    for h in heads:
+        prefix.append(p)
+        if h:
+            p = p * h % PRIME
+    inv, out = pow(p, -1, PRIME), [0] * len(heads)
+    for i in range(len(heads) - 1, -1, -1):
+        if heads[i]:
+            out[i], inv = inv * prefix[i] % PRIME, inv * heads[i] % PRIME
+    return out
+
+
+def _realize(out: np.ndarray, seeds: list[int], u: np.ndarray, v: np.ndarray) -> None:
+    """Draw trial t's M from default_rng(seeds[t]) into the zeroed out[t]:
+    edge weights in +/-[1, MAX_WEIGHT] at (u, v) and (v, u), diagonal in
+    [-MAX_WEIGHT, MAX_WEIGHT].  M is symmetric, so out[t] is M^T too."""
+    trials, n = len(seeds), out.shape[-1]
+    w, d = np.empty((trials, u.size), dtype=np.int64), np.empty((trials, n), dtype=np.int64)
+    for t, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        w[t] = rng.integers(-MAX_WEIGHT, MAX_WEIGHT, size=u.size)
+        d[t] = rng.integers(-MAX_WEIGHT, MAX_WEIGHT + 1, size=n)
+    w += w >= 0  # [-W, W) -> +/-[1, W]
+    base, flat = np.arange(trials)[:, None] * (n * n), out.reshape(-1)
+    flat[base + u * n + v] = flat[base + v * n + u] = w
+    flat[base + np.arange(n) * (n + 1)] = d
 
 
 def sample_realization(g: Graph, leaders: LeaderSet, seed: int) -> SystemRealization:
@@ -76,25 +118,43 @@ def sample_realization(g: Graph, leaders: LeaderSet, seed: int) -> SystemRealiza
     [-MAX_WEIGHT, MAX_WEIGHT], and B with a single 1 per leader column."""
     leaders.validate_for(g)
     _check_size(g.n)
-    m = np.zeros((g.n, g.n), dtype=np.int64)
-    _draw(m, seed, *np.array(g.edges(), dtype=np.intp).reshape(-1, 2).T)
+    m = np.zeros((1, g.n, g.n), dtype=np.int64)
+    _realize(m, [seed], *np.array(g.edges(), dtype=np.intp).reshape(-1, 2).T)
     b = (np.arange(g.n)[:, None] == np.array(leaders.ids)).astype(np.int64)
-    return SystemRealization(m, b, seed)
+    return SystemRealization(m[0], b, seed)
 
 
-def _reduce(x: np.ndarray) -> np.ndarray:
-    """x - PRIME * rint(x / PRIME), in place."""
+def _reduce(x: np.ndarray, copy: bool = False) -> np.ndarray:
+    """x - PRIME * rint(x / PRIME), in place unless copy is set."""
     q = x * (1.0 / PRIME)
-    return np.subtract(x, np.multiply(np.rint(q, out=q), PRIME, out=q), out=x)
+    return np.add(x, np.multiply(np.rint(q, out=q), -PRIME, out=q), out=q if copy else x)
+
+
+def _split(x: np.ndarray) -> np.ndarray:
+    """x = lo + 4096 hi, |lo| <= 2**11 and |hi| <= 2**12, stacked as [hi; lo]."""
+    hi = np.rint(x * (1.0 / 4096))
+    return np.concatenate((hi, x - 4096 * hi), axis=-2)
+
+
+def _negmul(s: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """-(x @ b) mod PRIME from x's stacked split s = _split(x): one product."""
+    p = s @ b
+    h = p.shape[-2] // 2
+    hi = _reduce(p[..., :h, :], copy=True)  # contiguous, unlike p's halves
+    return _reduce(np.subtract(np.multiply(hi, -4096, out=hi), p[..., h:, :], out=hi))
 
 
 def _submul(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """c - a @ b mod PRIME, in place on c, for stacks of residues."""
-    if a.shape[-1] > 32:  # split a into 12-bit halves
-        hi = np.rint(a * (1.0 / 4096))
-        c -= 4096 * _reduce(hi @ b)
-        a = a - 4096 * hi
+    if a.shape[-1] > 32:
+        return _reduce(np.add(c, _negmul(_split(a), b), out=c))
     return _reduce(np.subtract(c, a @ b, out=c))
+
+
+def _next_block(x: np.ndarray, a0: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """-X A0 + (X U) V mod PRIME, splitting X once for both of its products."""
+    s = _split(x)
+    return _submul(_negmul(s, a0), _negmul(s, u), v)
 
 
 def _ranks(a: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -111,12 +171,13 @@ def _ranks(a: np.ndarray, block: np.ndarray) -> np.ndarray:
     -X A0 + (X U) V, so it touches O(n w) entries of A0 per row of X, not
     all of A.  U V[:, C] and (X U) V sum at most 32 products, the panel's
     width, and need no split; X A0 and X U sum over the n coordinates and
-    split X.  A block wider than 32 fills a panel alone, and _submul splits
-    its products too.  When the next block would overfill the panel, every
-    trial moves the same number of its pivot coordinates (the fewest any
-    trial has) to the end and cuts them off, since A and the block are 0
-    there and so is every later X, and U V is folded into A0 with one
-    product.  A trial stops at rank n or when a block adds nothing.
+    share one split of X (_next_block).  A block wider than 32 fills a panel
+    alone, and _submul splits its products too.  When the next block would
+    overfill the panel, every trial moves the same number of its pivot
+    coordinates (the fewest any trial has) to the end and cuts them off,
+    since A and the block are 0 there and so is every later X, and U V is
+    folded into A0 with one product.  A trial stops at rank n or when a
+    block adds nothing.
     """
     trials, width, n = block.shape
     ranks = np.zeros(trials, dtype=np.intp)
@@ -128,17 +189,16 @@ def _ranks(a: np.ndarray, block: np.ndarray) -> np.ndarray:
     pivots = np.zeros((trials, n), dtype=bool)
     while True:
         at, cols = np.arange(ids.size), np.empty((ids.size, width), dtype=np.intp)
-        for i in rows:  # fraction-free Gauss-Jordan
+        found = np.empty((ids.size, width), dtype=bool)
+        for i in rows:  # Gauss-Jordan, each pivot row scaled to head 1 when found
             row = block[:, i]
             cols[:, i] = col = (row != 0).argmax(1)
             f = block[at, :, col]
-            head = np.where(f[:, i], f[:, i], 1)[:, None, None]
-            f[:, i] = 0
-            _reduce(np.subtract(block * head, f[:, :, None] * row[:, None, :], out=block))
-        heads = block[at[:, None], rows, cols]
-        block *= np.reshape([pow(int(h), -1, PRIME) if h else 0 for h in heads.ravel().tolist()], (-1, width, 1))
-        _reduce(block)
-        found = heads != 0
+            found[:, i] = f[:, i] != 0
+            inv = np.array(_invert(f[:, i].astype(np.int64).tolist()), dtype=float)
+            f = _reduce(np.multiply(f, inv[:, None], out=f))
+            f[:, i] = 1 - inv  # row i - (1 - inv) row i = inv row i
+            _reduce(np.subtract(block, f[:, :, None] * row[:, None, :], out=block))
         rank += found.sum(1)
         keep = found.any(1) & (rank < n)
         if not keep.all():
@@ -153,8 +213,7 @@ def _ranks(a: np.ndarray, block: np.ndarray) -> np.ndarray:
         ut[:, used:used + width] = _submul(a[at[:, None], :, cols], v[:, :used][at[:, None], :, cols], ut[:, :used])
         v[:, used:used + width] = block
         used += width
-        xu = _submul(np.zeros((ids.size, width, used)), block, ut[:, :used].transpose(0, 2, 1))  # -X U
-        block = _submul(_submul(np.zeros(block.shape), block, a), xu, v[:, :used])
+        block = _next_block(block, a, ut[:, :used].transpose(0, 2, 1), v[:, :used])
         if used + width > cap:  # cut pivot coordinates, then fold the panel into A0
             spare = pivots.sum(1).min()
             drop, m = pivots & (np.cumsum(pivots, 1) <= spare), pivots.shape[1] - spare
@@ -174,7 +233,9 @@ def controllability_report(r: SystemRealization) -> tuple[int, str]:
     _check_size(n)
     if m.dtype.kind not in "iu" or b.dtype.kind not in "iu":
         raise ValueError("a realization must hold integer matrices")
-    rank = int(_ranks(*(_reduce(x.T[None].astype(np.int64) % PRIME * 1.0) for x in (m, b)))[0])
+    # widen within the input's kind, so that no entry wraps, then reduce mod PRIME
+    residues = (x.T[None].astype(np.uint64 if x.dtype.kind == "u" else np.int64) % PRIME for x in (m, b))
+    rank = int(_ranks(*(_reduce(x * 1.0) for x in residues))[0])
     return rank, "controllable" if rank == n else "uncontrollable"
 
 
@@ -234,8 +295,7 @@ def randomized_ssc_check(
     for start in range(0, trials, batch):
         chunk = seeds[start:start + batch]
         a = np.zeros((len(chunk), n, n))
-        for t, trial_seed in enumerate(chunk):
-            _draw(a[t], trial_seed, u, v)  # M is symmetric, so this is M^T, in residues
+        _realize(a, chunk, u, v)  # M^T in residues
         ranks += _ranks(a, bt[:len(chunk)]).tolist()
     records = tuple(TrialRecord(t, s, r, "controllable" if r == n else "uncontrollable")
                     for t, (s, r) in enumerate(zip(seeds, ranks)))

@@ -26,6 +26,7 @@ from zfnets.ssc import (
     MAX_WEIGHT,
     PRIME,
     SSCReport,
+    _invert,
     _ranks,
     _reduce,
     _submul,
@@ -189,6 +190,52 @@ def test_size_and_dtype_limits():
         controllability_report(floats)
     small = SystemRealization(np.array([[0, 1], [1, 0]], dtype=np.uint8), np.eye(2, 1, dtype=np.uint8), seed=0)
     assert controllability_report(small) == (2, "controllable")
+    # an unsigned entry at or above 2**63 must not wrap before it is reduced
+    c = 2**64 - PRIME
+    wide = SystemRealization(np.array([[0, c], [c, 0]], dtype=np.uint64), np.eye(2, 1, dtype=np.uint64), seed=0)
+    same = SystemRealization(np.array([[0, c % PRIME], [c % PRIME, 0]]), np.eye(2, 1, dtype=np.int64), seed=0)
+    assert controllability_report(wide) == controllability_report(same) == (2, "controllable")
+
+
+def test_batch_inversion_matches_pow():
+    rng = np.random.default_rng(4)
+    cases = [[], [0], [0, 0], [1], [-1], [MAX_WEIGHT], [-MAX_WEIGHT], [PRIME - 1],
+             [1, -1, MAX_WEIGHT, -MAX_WEIGHT], [0, 5, 0, 0, -7, 0], [3, 0, 0, MAX_WEIGHT, 0]]
+    for size in (1, 2, 20, 97):
+        heads = rng.integers(-MAX_WEIGHT, MAX_WEIGHT + 1, size=size)
+        heads[rng.random(size) < 0.3] = 0  # zeros between nonzero heads
+        cases.append(heads.tolist())
+    for heads in cases:
+        assert _invert(heads) == [pow(h, -1, PRIME) if h % PRIME else 0 for h in heads], heads
+
+
+@pytest.mark.parametrize("elements, batches", [(ssc._BATCH_ELEMENTS, [8]), (3 * 30**2, [3, 3, 2])])
+def test_batched_draw_matches_sample_realization(elements, batches, monkeypatch):
+    # every trial's slice of the float stack is that trial's M^T in residues
+    kernel, stacks = ssc._ranks, []
+
+    def capturing(a, block):
+        stacks.append(a.copy())
+        return kernel(a, block)
+
+    monkeypatch.setattr(ssc, "_ranks", capturing)
+    monkeypatch.setattr(ssc, "_BATCH_ELEMENTS", elements)
+    rng = np.random.default_rng(elements)
+    g = random_connected_graph(rng, 30, extra_edges=20)
+    leaders = LeaderSet((0, 7))
+    report = randomized_ssc_check(g, leaders, trials=8, seed=21)
+    assert [len(a) for a in stacks] == batches
+    drawn = np.concatenate(stacks)
+    for rec, a in zip(report.records, drawn):
+        m = sample_realization(g, leaders, rec.seed).m_matrix
+        assert np.array_equal(a.astype(np.int64) % PRIME, m.T % PRIME)
+        # the stream a record replays: edge weights in edge order, then the diagonal
+        rng = np.random.default_rng(rec.seed)
+        weights = rng.integers(-MAX_WEIGHT, MAX_WEIGHT, size=len(g.edges())).tolist()
+        expected = np.diag(rng.integers(-MAX_WEIGHT, MAX_WEIGHT + 1, size=g.n))
+        for (x, y), w in zip(g.edges(), weights):
+            expected[x, y] = expected[y, x] = w + (w >= 0)
+        assert np.array_equal(a, expected)
 
 
 def _batch(realizations):
@@ -390,6 +437,11 @@ PINNED_CSV = [
      20, 7, "2b12de465638fd30627de41fc9f61e37c7c085c905d8819f20503483f798e258"),
     ("disconnected40", _disconnected_40, 200, 11,
      "abba2735f56f5a0a3e07fc731784f42a2b082c21ab613ca3da9ee065d814d3a7"),
+    # rank 100 < n in one full 20-trial batch: a 20-node path that no leader reaches;
+    # digest from the fraction-free float64 kernel that preceded batch inversion
+    ("g1bar100+path20", lambda: (Graph(120, build_g1_bar(100, 4, 25).graph.edges()
+                                       + [(v, v + 1) for v in range(100, 119)]), LeaderSet((0, 1, 2, 3))),
+     20, 13, "5b042bffb865a2e8562a3d27170d454f80dc02342c9bc48091b38ec0b695865b"),
 ]
 
 
@@ -402,4 +454,7 @@ def test_report_csv_matches_pinned_digest(name, make, trials, seed, digest, monk
     report = randomized_ssc_check(g, leaders, trials=trials, seed=seed)
     if name == "disconnected40":
         assert report.fail_count == trials and {rec.rank for rec in report.records} == {20}
+    if name == "g1bar100+path20":
+        assert trials <= ssc._BATCH_ELEMENTS // g.n**2  # one batch
+        assert report.fail_count == trials and {rec.rank for rec in report.records} == {100}
     assert hashlib.sha256(report.to_csv().encode()).hexdigest() == digest
