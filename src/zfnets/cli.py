@@ -149,6 +149,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.nodes < 1:
         raise ValueError(f"--nodes must be at least 1, got {args.nodes}")
     families = [cons.normalize_family(f) for f in args.families.split(",") if f.strip()]
+    if not families:
+        raise ValueError(f"no values in {args.families!r}")
     if args.g3_diameter is not None and cons.G3_BAR not in families:
         raise ValueError("--g3-diameter needs g3bar in --families")
     leader_values = _parse_int_values(args.leaders, args.nodes)
@@ -178,20 +180,17 @@ def cmd_grammar(args: argparse.Namespace) -> int:
     target = cons.build(cons.ConstructionSpec(family, n, k, args.diameter))
     rules = make_rules(target.spec)
 
-    frames_dir: Path | None = None
-    if args.frames:
-        frames_dir = Path(args.frames)
-        frames_dir.mkdir(parents=True, exist_ok=True)
-
-    def dump_frame(idx: int, state: gram.LabeledGraph) -> None:
-        assert frames_dir is not None
-        text = export_dot(state.graph, labels=state.label_texts())
-        (frames_dir / f"step_{idx:04d}.dot").write_text(text)
-
     initial = gram.initial_state(n)
-    if frames_dir is not None:
-        dump_frame(0, initial)
-    on_step = (lambda i, state, match: dump_frame(i, state)) if frames_dir else None
+    on_step = None
+    if args.frames:
+        frames = Path(args.frames)
+        frames.mkdir(parents=True, exist_ok=True)
+
+        def on_step(i: int, state: gram.LabeledGraph, match: gram.Match | None) -> None:
+            text = export_dot(state.graph, labels=state.label_texts())
+            (frames / f"step_{i:04d}.dot").write_text(text)
+
+        on_step(0, initial, None)
     final, schedule = gram.run_to_fixpoint(
         initial,
         rules,

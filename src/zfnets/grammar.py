@@ -202,15 +202,11 @@ class Schedule:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def initial_state(n: int, seed_node: int = 0) -> LabeledGraph:
-    """Edgeless start state: every node alpha except one seed labeled S_1."""
+def initial_state(n: int) -> LabeledGraph:
+    """Edgeless start state: node 0 is the seed S_1, every other node alpha."""
     if n < 1:
         raise ValueError("need at least one node")
-    if not 0 <= seed_node < n:
-        raise ValueError(f"seed_node must be in 0..{n - 1}, got {seed_node}")
-    labels = [Label(ALPHA)] * n
-    labels[seed_node] = Label(SEED, 1)
-    return LabeledGraph(Graph(n), labels)
+    return LabeledGraph(Graph(n), [Label(SEED, 1)] + [Label(ALPHA)] * (n - 1))
 
 
 def _leader_rules(k: int) -> tuple[Rule, Rule, Rule]:
@@ -479,6 +475,14 @@ class _MatchIndex:
         return Match(rule, (v,) if rule.right is None else (v, u))
 
     def matches(self) -> list[Match]:
+        """Every currently applicable match in deterministic order.
+
+        Edge-adding matches whose edge already exists are excluded.  Of a
+        binding and its reverse that pass with the same effect (both
+        orientations of one edge), only the one that comes first is listed,
+        so random scheduling stays unbiased.  Rules come in list order and
+        each rule's bindings in (v, u) order.
+        """
         return [self._match(r, *divmod(key, self.n))
                 for r, keys in enumerate(self.keys) for key in keys]
 
@@ -523,18 +527,6 @@ class _MatchIndex:
             keys = self.keys[r]
             for v in moved:  # overwrites what the partner edits put in v's range
                 keys[bisect_left(keys, v * n):bisect_left(keys, v * n + n)] = self._row(r, v)
-
-
-def applicable_matches(state: LabeledGraph, rules: Iterable[Rule]) -> list[Match]:
-    """Every currently applicable match in deterministic order.
-
-    Edge-adding matches whose edge already exists are excluded.  Of a
-    binding and its reverse that pass with the same effect (both
-    orientations of one edge), only the one that comes first is listed, so
-    random scheduling stays unbiased.  Rules come in list order and each
-    rule's bindings in (v, u) order.
-    """
-    return _MatchIndex(state, rules).matches()
 
 
 def _rewrite(state: LabeledGraph, effect) -> None:
@@ -619,32 +611,27 @@ class _Pcg64:
         return m >> bits
 
 
-def _step_budget(n: int) -> int:
-    return 4 * n * n + 8 * n + 32
-
-
 def run_to_fixpoint(
     initial: LabeledGraph,
     rules: list[Rule],
     seed: int = 0,
     prefer_phase: str | None = None,
-    max_steps: int | None = None,
     on_step: Callable[[int, LabeledGraph, Match], None] | None = None,
 ) -> tuple[LabeledGraph, Schedule]:
     """Repeatedly apply a uniformly random applicable match until none remain.
 
     prefer_phase biases scheduling: matches of that phase are taken whenever
-    any is available (still uniformly among them).  The step budget guards
-    against rule-encoding bugs; both grammars are monotone, so legitimate
-    runs stay well under it.  `on_step` sees the live state after each step
-    and must treat it as read-only: the match index is kept in step with
-    the state only through the rewrites the run applies itself.
+    any is available (still uniformly among them).  The step budget,
+    4 n^2 + 8 n + 32 on n nodes, guards against rule-encoding bugs; both
+    grammars are monotone, so legitimate runs stay well under it.
+    `on_step` sees the live state after each step and must treat it as
+    read-only: the match index is kept in step with the state only through
+    the rewrites the run applies itself.
     """
-    if max_steps is not None and max_steps < 0:
-        raise ValueError(f"max_steps must be non-negative, got {max_steps}")
     state = initial.copy()
     rng = _Pcg64(seed)
-    budget = _step_budget(state.graph.n) if max_steps is None else max_steps
+    n = state.graph.n
+    budget = 4 * n * n + 8 * n + 32
     trace: list[tuple[str, tuple[int, ...]]] = []
     index = _MatchIndex(state, rules)
     while True:
@@ -652,9 +639,7 @@ def run_to_fixpoint(
         if match is None:
             break
         if len(trace) == budget:
-            raise NonConvergenceError(
-                f"no fixpoint after {budget} steps (n={state.graph.n})"
-            )
+            raise NonConvergenceError(f"no fixpoint after {budget} steps (n={n})")
         index.apply(match)
         trace.append((match.rule.name, match.nodes))
         if on_step is not None:

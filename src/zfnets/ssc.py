@@ -34,12 +34,13 @@ x - r is exact, and r == 0 exactly when PRIME divides x.
 Gauss-Jordan elimination scales each pivot row to head 1 as soon as its head
 is found, in the same pass that clears the head's column from the other rows:
 that pass subtracts 1 - 1/head times the pivot row from itself, with 1/head
-in [0, PRIME), so |1 - 1/head| < 2**25 keeps those products below 2**49 too.  The reduced row echelon form is unique for
-the chosen pivot columns, and each column is chosen from a row's nonzero
-pattern, which no nonzero scale changes, so the ranks are those of
-fraction-free elimination.  A row's heads across the batch are inverted
-together by Montgomery's batch inversion (Math. Comp. 48, 1987): one pow per
-batch of heads and three multiplications per head.
+in [0, PRIME), so |1 - 1/head| < 2**25 keeps those products below 2**49
+too.  The reduced row echelon form is unique for the chosen pivot columns,
+and each column is chosen from a row's nonzero pattern, which no nonzero
+scale changes, so the ranks are those of fraction-free elimination.  A
+row's heads across the batch are inverted together by Montgomery's batch
+inversion (Math. Comp. 48, 1987): one pow per batch of heads and three
+multiplications per head.
 
 Trials run in lock-step batches of at most _BATCH_ELEMENTS operator entries,
 a fixed working-set budget: one batch holds the 20 trials of a check at
@@ -229,7 +230,11 @@ def _ranks(a: np.ndarray, block: np.ndarray) -> np.ndarray:
 
 def controllability_report(r: SystemRealization) -> tuple[int, str]:
     """(rank mod PRIME, "controllable" iff rank == n else "uncontrollable")."""
-    m, b, n = r.m_matrix, r.b_matrix, len(r.m_matrix)
+    m, b = r.m_matrix, r.b_matrix
+    if m.ndim != 2 or b.ndim != 2 or not m.shape[0] == m.shape[1] == b.shape[0]:
+        raise ValueError(f"a realization needs a square M and a B with M's row count,"
+                         f" got shapes {m.shape} and {b.shape}")
+    n = len(m)
     _check_size(n)
     if m.dtype.kind not in "iu" or b.dtype.kind not in "iu":
         raise ValueError("a realization must hold integer matrices")

@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 
-from zfnets.grammar import LabeledGraph, Match, Rule, _binding_ok, _match_effect
+from zfnets.grammar import LabeledGraph, Match, Rule
 from zfnets.graph import Graph
 from zfnets.ssc import SystemRealization, controllability_report
 from zfnets.zero_forcing import ForcingTrace
@@ -294,28 +294,35 @@ def applicable_matches_rescan(state: LabeledGraph, rules: list[Rule]) -> list[Ma
 
     Rules in list order, bindings in (v, u) order, and only the first binding
     of each (rule, effect) key, the documented order of
-    zfnets.grammar.applicable_matches.
+    zfnets.grammar._MatchIndex.matches.  A binding passes when its labels
+    have the rule's kinds, its guard holds and, for a connect rule, its edge
+    is absent; its effect is the sorted edge plus the relabels sorted by node.
+    Both are written here, not taken from zfnets.grammar, so the oracle
+    shares no predicate with the index it grades.
     """
-    by_kind: dict[str, list[int]] = {}
-    for v, lab in enumerate(state.labels):
-        by_kind.setdefault(lab.kind, []).append(v)
+    labels, g = state.labels, state.graph
     out: list[Match] = []
     seen: set = set()
     for rule in rules:
-        lefts = by_kind.get(rule.left, [])
+        lefts = [v for v in range(g.n) if labels[v].kind == rule.left]
         if rule.right is None:
             candidates = [(v,) for v in lefts]
         else:
-            rights = by_kind.get(rule.right, [])
-            candidates = [(v, u) for v in lefts for u in rights if u != v]
+            candidates = [(v, u) for v in lefts for u in range(g.n)
+                          if u != v and labels[u].kind == rule.right]
         for nodes in candidates:
-            if not _binding_ok(state, rule, nodes):
+            la = labels[nodes[0]]
+            lb = labels[nodes[1]] if len(nodes) == 2 else None
+            if not rule.guard(la, lb) or (rule.connect and g.has_edge(*nodes)):
                 continue
-            key = (rule.name, _match_effect(state, rule, nodes))
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(Match(rule, nodes))
+            relabels = sorted(
+                (node, relabel(la, lb))
+                for node, relabel in zip(nodes, (rule.relabel_left, rule.relabel_right))
+                if relabel is not None)
+            key = (rule.name, tuple(sorted(nodes)) if rule.connect else None, tuple(relabels))
+            if key not in seen:
+                seen.add(key)
+                out.append(Match(rule, nodes))
     return out
 
 

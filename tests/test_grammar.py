@@ -27,7 +27,6 @@ from zfnets.grammar import (
     NonConvergenceError,
     Rule,
     Schedule,
-    applicable_matches,
     grammar_r1,
     grammar_r2,
     initial_state,
@@ -65,8 +64,6 @@ def test_initial_state_shape():
     kinds = [lab.kind for lab in st.labels]
     assert kinds.count(SEED) == 1 and kinds.count(ALPHA) == 11
     assert st.labels[0] == Label(SEED, 1)
-    shifted = initial_state(4, seed_node=2)
-    assert shifted.labels[2].kind == SEED and shifted.labels[0].kind == ALPHA
 
 
 def test_grammar_parameter_validation():
@@ -82,7 +79,7 @@ def test_grammar_parameter_validation():
 
 def test_initial_matches_are_all_seed_recruitments():
     st = initial_state(12)
-    matches = applicable_matches(st, grammar_r1(3, 4))
+    matches = grammar._MatchIndex(st, grammar_r1(3, 4)).matches()
     assert len(matches) == 11
     assert all(m.rule.name == "r0" and m.nodes[0] == 0 for m in matches)
 
@@ -90,8 +87,8 @@ def test_initial_matches_are_all_seed_recruitments():
 def test_applicable_matches_is_deterministic():
     st = initial_state(8)
     rules = grammar_r2(8, 2)
-    a = applicable_matches(st, rules)
-    b = applicable_matches(st, rules)
+    a = grammar._MatchIndex(st, rules).matches()
+    b = grammar._MatchIndex(st, rules).matches()
     assert [(m.rule.name, m.nodes) for m in a] == [(m.rule.name, m.nodes) for m in b]
 
 
@@ -101,14 +98,14 @@ def test_symmetric_rules_bind_single_orientation():
     st.labels[0] = Label(LEADER, 1)
     st.labels[1] = Label(LEADER, 2)
     rules = grammar_r1(2, 2)
-    pair_matches = [m for m in applicable_matches(st, rules) if m.rule.name == "r5"]
+    pair_matches = [m for m in grammar._MatchIndex(st, rules).matches() if m.rule.name == "r5"]
     assert len(pair_matches) == 1
 
 
 def test_step_returns_new_state_and_rejects_stale():
     st = initial_state(4)
     rules = grammar_r1(2, 2)
-    match = applicable_matches(st, rules)[0]
+    match = grammar._MatchIndex(st, rules).matches()[0]
     once = Schedule(0, ((match.rule.name, match.nodes),))
     before_labels = list(st.labels)
     nxt = replay(st, rules, once)
@@ -238,7 +235,7 @@ def test_duplicate_rule_names_are_rejected():
     with pytest.raises(ValueError, match="duplicate rule name 'r0'"):
         run_to_fixpoint(initial_state(6), rules, seed=0)
     with pytest.raises(ValueError, match="duplicate rule name 'r0'"):
-        applicable_matches(initial_state(6), rules)
+        grammar._MatchIndex(initial_state(6), rules)
     _, schedule = run_to_fixpoint(initial_state(6), grammar_r1(2, 3), seed=0)
     with pytest.raises(ValueError, match="duplicate rule name 'r0'"):
         replay(initial_state(6), rules, schedule)
@@ -256,34 +253,25 @@ def test_label_isomorphic_discriminates_targets():
     assert not label_isomorphic(state, build_g1_bar(16, 4, 4))
 
 
+# Its match stays listed, so only the step budget, 4 n^2 + 8 n + 32, ends a run.
+STUCK = [Rule("x", PI1, SEED, relabel_left=_keep)]
+
+
 def test_step_budget_guards_against_runaway():
-    with pytest.raises(NonConvergenceError, match="steps"):
-        run_to_fixpoint(initial_state(8), grammar_r2(8, 2), seed=0, max_steps=3)
+    with pytest.raises(NonConvergenceError, match="^no fixpoint after 92 steps \\(n=3\\)$"):
+        run_to_fixpoint(initial_state(3), STUCK)
 
 
 def test_step_budget_applies_no_step_beyond_it():
     seen = []
-    with pytest.raises(NonConvergenceError, match="^no fixpoint after 5 steps \\(n=12\\)$"):
-        run_to_fixpoint(initial_state(12), grammar_r1(3, 4), seed=1, max_steps=5,
-                        on_step=lambda i, state, match: seen.append(i))
-    assert seen == [1, 2, 3, 4, 5]
-    # the unbounded run takes 34 steps, so a budget of 34 is enough
-    _, schedule = run_to_fixpoint(initial_state(12), grammar_r1(3, 4), seed=1)
-    assert len(schedule.steps) == 34
-    _, bounded = run_to_fixpoint(initial_state(12), grammar_r1(3, 4), seed=1, max_steps=34)
-    assert bounded == schedule
-
-
-def test_step_budget_rejects_a_negative_budget():
-    stuck = [Rule("x", PI1, SEED, relabel_left=_keep)]  # its match stays listed
-
-    def no_step(i, state, match):  # fails fast where the budget would never stop the run
-        raise AssertionError(f"step {i} was applied")
-
-    with pytest.raises(ValueError, match="^max_steps must be non-negative, got -1$"):
-        run_to_fixpoint(initial_state(3), stuck, max_steps=-1, on_step=no_step)
     with pytest.raises(NonConvergenceError, match="^no fixpoint after 92 steps \\(n=3\\)$"):
-        run_to_fixpoint(initial_state(3), stuck)
+        run_to_fixpoint(initial_state(3), STUCK, on_step=lambda i, state, match: seen.append(i))
+    assert seen == list(range(1, 93))
+    # a run that needs exactly the budget, 44 steps at n=1, reaches its fixpoint
+    count = [Rule("x", PI1, SEED, guard=lambda a, b: a.i <= 44,
+                  relabel_left=lambda a, b: Label(SEED, a.i + 1))]
+    final, schedule = run_to_fixpoint(initial_state(1), count)
+    assert len(schedule.steps) == 44 and final.labels == [Label(SEED, 45)]
 
 
 def test_edge_count_grows_monotonically():
@@ -610,7 +598,8 @@ def test_started_leaders_read_l_i_0():
 
 def test_step_and_replay_reject_node_ids_outside_the_graph():
     rules = grammar_r1(1, 4)
-    st = initial_state(4, seed_node=3)
+    st = initial_state(4)
+    st.labels[0], st.labels[3] = st.labels[3], st.labels[0]  # the seed at node 3
     for nodes in ((-1,), (4,), (), (3, 3)):
         with pytest.raises(ValueError, match="^step 1: binding .* for r1 is not applicable$"):
             replay(st, rules, Schedule(0, (("r1", nodes),)))
@@ -619,9 +608,3 @@ def test_step_and_replay_reject_node_ids_outside_the_graph():
         with pytest.raises(ValueError, match="step 1"):
             replay(r0, grammar_r1(2, 2), Schedule(0, (("r0", nodes),)))
     assert replay(st, rules, Schedule(0, (("r1", (3,)),))).labels[3] == Label(LEADER, 1)
-
-
-@pytest.mark.parametrize("seed_node", [4, -1, 100])
-def test_initial_state_rejects_seed_outside_the_graph(seed_node):
-    with pytest.raises(ValueError, match="seed_node"):
-        initial_state(4, seed_node=seed_node)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -185,6 +186,14 @@ def test_size_and_dtype_limits():
     too_big = np.broadcast_to(np.int64(0), (MAX_N + 1, MAX_N + 1))
     with pytest.raises(ValueError, match=str(MAX_N)):
         controllability_report(SystemRealization(too_big, too_big[:, :1], seed=0))
+    for m, b in ((np.eye(3, dtype=np.int64), np.ones((4, 1), dtype=np.int64)),
+                 (np.ones((2, 3), dtype=np.int64), np.ones((2, 1), dtype=np.int64)),
+                 (np.eye(3, dtype=np.int64), np.ones(3, dtype=np.int64)),
+                 (np.ones(3, dtype=np.int64), np.ones((3, 1), dtype=np.int64)),
+                 (np.ones((2, 2, 2), dtype=np.int64), np.ones((2, 1), dtype=np.int64))):
+        shapes = re.escape(f"got shapes {m.shape} and {b.shape}")
+        with pytest.raises(ValueError, match=f"^a realization needs a square M .*, {shapes}$"):
+            controllability_report(SystemRealization(m, b, seed=0))
     floats = SystemRealization(np.eye(2), np.ones((2, 1)), seed=0)
     with pytest.raises(ValueError, match="integer"):
         controllability_report(floats)
