@@ -20,7 +20,8 @@ g2bar from 0^(n-k), g3bar from (0..k-1)^(d-2) 0^(n-k(d-1)) or, when
 d = n/k > 2, g1bar's word.  G1 has C(k, 2) + k(d-1) edges, below the
 bound.  build(spec) builds all four; they put the leaders at ids 0..k-1
 and use deterministic id layouts, so repeated builds are byte-for-byte
-identical.
+identical.  In its layout g1bar is the k-th power of the path 0..n-1:
+u ~ v iff 1 <= |u - v| <= k.
 """
 from __future__ import annotations
 

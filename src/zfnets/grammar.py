@@ -21,40 +21,39 @@ between the two chain-start labels (GAMMA(i,1) -> BETA(i,1) in R1, BETA(1)
 -> GAMMA(1) in R2).  So on every state reachable from `initial_state` the
 two tests agree, and every seed keeps its schedule.
 
-A run keeps a match index: per rule, one sorted list of keys v * n + u,
-one for each listed binding (v, u), so key order is (v, u) order.  Guards
-and relabels must be pure functions of the two labels, so whether a binding
-passes reads only its nodes' labels and, for a connect rule, whether the
-bound pair is an edge; its effect key reads only its nodes and their
-labels.  A full scan lists the first binding of each effect key in (v, u)
-order.  By the rule shape the key names every bound node, so only the
-reverse binding can share it, and whether it does reads the two labels
+A run keeps a match index: per rule, one sorted list of keys v * n + u, one
+for each listed binding (v, u), so key order is (v, u) order.  Join keys,
+guards and relabels must be pure functions of the labels, so whether a
+binding passes reads only its nodes' labels and, for a connect rule,
+whether the bound pair is an edge; its effect key reads only its nodes and
+their labels.  A full scan lists the first binding of each effect key in
+(v, u) order.  By the rule shape the key names every bound node, so only
+the reverse binding can share it, and whether it does reads the two labels
 alone.  So (v, u) with u < v is left out exactly when (u, v) passes and has
 the same effect (`_mirrored`), and whether a binding is listed reads only
 its own pair.  A rewrite adds at most the edge ab and relabels at most a
 and b, so a listing can change only for
 - a binding that holds a relabelled node;
 - the binding (a, b) or (b, a) of a connect rule, whose edge now exists.
-The index drops the new edge's two keys, takes each relabelled node out
-of the bindings whose guard admits its old label and puts it into those
-whose guard admits its new one (one whose guard admits neither was not
-listed and is not), then rebuilds the node's own keys.  A listed binding's
-nodes have its rule's kinds, so only the connect rules over the edge's
-pre-rewrite end kinds, and only the rules that read a relabelled node's
-old or new kind, are visited.  So the keys list the same matches in the
-same order as a full scan, and a seed gives the same schedule whichever
-way the matches are found.
+The index drops the new edge's two keys, takes each relabelled node out of
+the bindings whose join and guard admit its old label and puts it into
+those that admit its new one (one that admits neither was not listed and is
+not), then rebuilds the node's own keys.  A listed binding's nodes have its
+rule's kinds, so only the connect rules over the edge's pre-rewrite end
+kinds, and only the rules that read a relabelled node's old or new kind,
+are visited.  So the keys list the same matches in the same order as a full
+scan, and a seed gives the same schedule whichever way the matches are
+found.
 
-A rule may name a join key per side, `join = (left_key, right_key)`: its
-guard can pass only when `left_key(a) == right_key(b)`.  The index keeps
-each keyed side's label groups in buckets by key and, for a label, asks
-the guard only about the partner labels in the bucket its key names (the
-hashed join of Rete; Forgy, Artificial Intelligence 19(1), 1982).  A rule
-without a join reads every label of the partner kind.  The guard stays the
-authority, so a join that is too wide costs guard calls and one that is
-too narrow loses matches: a `dataclasses.replace` of a keyed rule's guard
-must keep its join valid.  R1 keys r6, r7 and r8 by layer, so a new chain
-node is tried against one layer's labels instead of every BETA label.
+A two-node rule may name a join key per side, `join = (left_key,
+right_key)`, as part of its condition: a binding labelled (a, b) passes
+only when `left_key(a) == right_key(b)`, and its guard is asked only then.
+The index keeps each keyed side's label groups in buckets by key and, for
+a label, asks the guard only about the partner labels in the bucket its
+key names (the hashed join of Rete; Forgy, Artificial Intelligence 19(1),
+1982).  A rule without a join reads every label of the partner kind.  R1
+keys r6, r7 and r8 by layer, so a new chain node is tried against one
+layer's labels instead of every BETA label.
 
 The scheduler draws from `_Pcg64`, zfnets' own PCG64 stream, equal to numpy
 2.4.6's `default_rng(seed).integers(total)` draw for draw.  NumPy does not
@@ -90,7 +89,7 @@ class Label(NamedTuple):
     ALPHA carries no indices, SEED/LEADER carry i, chain labels carry i and
     (only in R1) a layer index j.  A leader's j is None until it starts its
     follower chain and 0 from then on, so the leader's own label records
-    that its chain has started.  A tuple, so effect keys hash it in C.
+    that its chain has started.  A tuple, so label dicts hash it in C.
     """
 
     kind: str
@@ -153,13 +152,11 @@ class Rule:
     `relabel_left`; a two-node rule must connect or set both relabels, so
     its effect names both nodes.  Other shapes raise ValueError.
 
-    `join = (left_key, right_key)`, read only on a two-node rule, declares a
-    necessary condition of the guard: `guard(a, b)` may pass only when
-    `left_key(a) == right_key(b)`.  The match index then reads only the
-    partner labels whose key equals the bound label's, and the guard still
-    decides among them.  A rule without a join reads every label of the
-    partner kind.  A `dataclasses.replace` of a keyed rule's guard must
-    keep the join valid for the new guard, or matches go missing.
+    `join = (left_key, right_key)`, on a two-node rule only, is part of its
+    condition: a binding labelled (a, b) passes only when `left_key(a) ==
+    right_key(b)` and `guard(a, b)` holds.  The guard is asked only when the
+    keys agree, and the match index reads only the partner labels whose key
+    equals the bound label's; without a join it reads the whole kind.
     """
 
     name: str
@@ -174,9 +171,10 @@ class Rule:
 
     def __post_init__(self) -> None:
         if self.right is None:
-            if self.relabel_left is None or self.connect or self.relabel_right is not None:
+            if (self.relabel_left is None or self.connect
+                    or self.relabel_right is not None or self.join is not None):
                 raise ValueError(f"rule {self.name!r}: a one-node rule must set relabel_left"
-                                 " and neither connect nor relabel_right")
+                                 " and none of connect, relabel_right and join")
         elif not self.connect and None in (self.relabel_left, self.relabel_right):
             raise ValueError(f"rule {self.name!r}: a two-node rule must connect its pair"
                              " or relabel both nodes")
@@ -249,13 +247,13 @@ def grammar_r1(n_leaders: int, d: int) -> list[Rule]:
              relabel_left=lambda a, b: Label(BETA, a.i, a.j)),
         r5,
         Rule("r6", PI2, LEADER, BETA,
-             guard=lambda a, b: b.j == 1 and b.i <= a.i,
+             guard=lambda a, b: b.i <= a.i,
              connect=True, join=(lambda a: 1, lambda b: b.j)),
         Rule("r7", PI2, BETA, BETA,
-             guard=lambda a, b: b.j == a.j + 1 and b.i < a.i,
+             guard=lambda a, b: b.i < a.i,
              connect=True, join=(lambda a: a.j + 1, lambda b: b.j)),
         Rule("r8", PI2, BETA, BETA,
-             guard=lambda a, b: b.j == a.j and b.i != a.i,
+             guard=lambda a, b: b.i != a.i,
              connect=True, join=(lambda a: a.j, lambda b: b.j)),
     ]
 
@@ -293,11 +291,7 @@ def grammar_r2(n: int, n_leaders: int) -> list[Rule]:
 
 
 def _match_effect(state: LabeledGraph, rule: Rule, nodes: tuple[int, ...]):
-    """Canonical description of what applying the match would change."""
-    edge = None
-    if rule.connect:
-        u, v = nodes
-        edge = (u, v) if u < v else (v, u)
+    """The edge the match adds (or None) and its (node, label) relabels."""
     relabels = []
     la = state.labels[nodes[0]]
     lb = state.labels[nodes[1]] if len(nodes) == 2 else None
@@ -305,19 +299,24 @@ def _match_effect(state: LabeledGraph, rule: Rule, nodes: tuple[int, ...]):
         relabels.append((nodes[0], rule.relabel_left(la, lb)))
     if rule.relabel_right is not None:
         relabels.append((nodes[1], rule.relabel_right(la, lb)))
-        if len(relabels) == 2 and nodes[1] < nodes[0]:
-            relabels.reverse()
-    return edge, tuple(relabels)
+    return (nodes if rule.connect else None), tuple(relabels)
+
+
+def _passes(rule: Rule, la: Label, lb: Label | None = None) -> bool:
+    """Whether labels (la, lb) have the rule's kinds, then its join keys
+    agree, then its guard holds; a connect rule's edge test is the caller's."""
+    if la.kind != rule.left or (lb is not None and lb.kind != rule.right):
+        return False
+    return (rule.join is None or rule.join[0](la) == rule.join[1](lb)) and rule.guard(la, lb)
 
 
 def _binding_ok(state: LabeledGraph, rule: Rule, nodes: tuple[int, ...]) -> bool:
-    """Whether `rule` applies to a binding of its arity with distinct nodes."""
-    la = state.labels[nodes[0]]
-    lb = None if rule.right is None else state.labels[nodes[1]]
-    if la.kind != rule.left or (lb is not None and lb.kind != rule.right):
-        return False
-    return rule.guard(la, lb) and not (
-        rule.connect and nodes[1] in state.graph.neighbors(nodes[0]))
+    """Whether `rule` applies to `nodes`, a binding from anywhere: distinct
+    ids of the graph, as many as it binds, whose labels pass it, unjoined."""
+    return (len(nodes) == (1 if rule.right is None else 2) == len(set(nodes))
+            and all(0 <= v < state.graph.n for v in nodes)
+            and _passes(rule, *(state.labels[v] for v in nodes))
+            and not (rule.connect and nodes[1] in state.graph.neighbors(nodes[0])))
 
 
 def _positions(rules: list[Rule]) -> dict[str, int]:
@@ -330,9 +329,9 @@ def _positions(rules: list[Rule]) -> dict[str, int]:
 
 
 def _mirrored(rule: Rule, la: Label, lb: Label) -> bool:
-    """Whether the reverse of a binding labelled (la, lb) passes its kinds
-    and guard and has the same effect (the edge and relabels are symmetric)."""
-    if (lb.kind, la.kind) != (rule.left, rule.right) or not rule.guard(lb, la):
+    """Whether the reverse of a binding labelled (la, lb) passes the rule
+    and has the same effect (the edge and relabels are symmetric)."""
+    if not _passes(rule, lb, la):
         return False
     rl, rr = rule.relabel_left, rule.relabel_right
     if rl is None and rr is None:
@@ -407,8 +406,8 @@ class _MatchIndex:
         return key, buckets
 
     def _row(self, r: int, v: int) -> list[int]:
-        """Keys, sorted, of v's bindings (v, u) that pass kinds, guard and
-        edge test, less those whose reverse comes first with their effect."""
+        """Keys, sorted, of v's bindings (v, u) that pass kinds, join, guard
+        and edge test, less those whose reverse comes first with their effect."""
         rule, lv, base = self.rules[r], self.state.labels[v], v * self.n
         if lv.kind != rule.left:
             return []
@@ -537,12 +536,6 @@ def _rewrite(state: LabeledGraph, effect) -> None:
         state.labels[v] = lab
 
 
-def _applicable(state: LabeledGraph, rule: Rule, nodes: tuple[int, ...]) -> bool:
-    """`_binding_ok` for a binding from outside the engine, whose shape and ids may be wrong."""
-    return (len(nodes) == (1 if rule.right is None else 2) == len(set(nodes))
-            and all(0 <= v < state.graph.n for v in nodes) and _binding_ok(state, rule, nodes))
-
-
 _M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
@@ -656,7 +649,7 @@ def replay(initial: LabeledGraph, rules: Iterable[Rule], schedule: Schedule) -> 
         rule = by_name.get(name)
         if rule is None:
             raise ValueError(f"step {idx}: unknown rule {name!r}")
-        if not _applicable(state, rule, nodes):
+        if not _binding_ok(state, rule, nodes):
             raise ValueError(f"step {idx}: binding {nodes} for {name} is not applicable")
         _rewrite(state, _match_effect(state, rule, nodes))
     return state

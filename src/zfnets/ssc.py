@@ -177,20 +177,20 @@ def _ranks(a: np.ndarray, block: np.ndarray) -> np.ndarray:
     overfill the panel, every trial moves the same number of its pivot
     coordinates (the fewest any trial has) to the end and cuts them off,
     since A and the block are 0 there and so is every later X, and U V is
-    folded into A0 with one product.  A trial stops at rank n or when a
-    block adds nothing.
+    folded into A0 with one product.  A trial at rank n, or whose block adds
+    nothing, keeps a zero block, so its rank stops growing; the batch stops
+    when no trial below rank n adds a row.
     """
     trials, width, n = block.shape
-    ranks = np.zeros(trials, dtype=np.intp)
+    rank = np.zeros(trials, dtype=np.intp)
     if not (n and width):
-        return ranks
-    ids, rows, rank, block = np.arange(trials), np.arange(width), ranks.copy(), _reduce(block * 1.0)
+        return rank
+    at, rows, block = np.arange(trials), np.arange(width), _reduce(block * 1.0)
     cap, used = max(32, width), 0
     ut, v = np.empty((trials, cap, n)), np.empty((trials, cap, n))  # U^T and V
     pivots = np.zeros((trials, n), dtype=bool)
+    cols, found = np.empty((trials, width), dtype=np.intp), np.empty((trials, width), dtype=bool)
     while True:
-        at, cols = np.arange(ids.size), np.empty((ids.size, width), dtype=np.intp)
-        found = np.empty((ids.size, width), dtype=bool)
         for i in rows:  # Gauss-Jordan, each pivot row scaled to head 1 when found
             row = block[:, i]
             cols[:, i] = col = (row != 0).argmax(1)
@@ -201,14 +201,8 @@ def _ranks(a: np.ndarray, block: np.ndarray) -> np.ndarray:
             f[:, i] = 1 - inv  # row i - (1 - inv) row i = inv row i
             _reduce(np.subtract(block, f[:, :, None] * row[:, None, :], out=block))
         rank += found.sum(1)
-        keep = found.any(1) & (rank < n)
-        if not keep.all():
-            ranks[ids] = rank
-            if not keep.any():
-                return ranks
-            ids, a, ut, v, pivots, block, rank, cols, found = (
-                x[keep] for x in (ids, a, ut, v, pivots, block, rank, cols, found))
-            at = at[:ids.size]
+        if not (found.any(1) & (rank < n)).any():
+            return rank
         pivots[np.nonzero(found)[0], cols[found]] = True
         # A[:, C]^T = A0[:, C]^T - V[:, C]^T U^T
         ut[:, used:used + width] = _submul(a[at[:, None], :, cols], v[:, :used][at[:, None], :, cols], ut[:, :used])
@@ -218,7 +212,7 @@ def _ranks(a: np.ndarray, block: np.ndarray) -> np.ndarray:
         if used + width > cap:  # cut pivot coordinates, then fold the panel into A0
             spare = pivots.sum(1).min()
             drop, m = pivots & (np.cumsum(pivots, 1) <= spare), pivots.shape[1] - spare
-            dest = np.nonzero(drop)[1].reshape(-1, spare)  # the first are below m
+            dest = np.nonzero(drop)[1].reshape(trials, spare)  # the first are below m
             source = m + np.argsort(drop[:, m:], axis=1, kind="stable")  # kept tail coordinates first
             for x in (a, ut, v, block, pivots):
                 x[at[:, None], ..., dest] = x[at[:, None], ..., source]

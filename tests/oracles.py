@@ -295,10 +295,11 @@ def applicable_matches_rescan(state: LabeledGraph, rules: list[Rule]) -> list[Ma
     Rules in list order, bindings in (v, u) order, and only the first binding
     of each (rule, effect) key, the documented order of
     zfnets.grammar._MatchIndex.matches.  A binding passes when its labels
-    have the rule's kinds, its guard holds and, for a connect rule, its edge
-    is absent; its effect is the sorted edge plus the relabels sorted by node.
-    Both are written here, not taken from zfnets.grammar, so the oracle
-    shares no predicate with the index it grades.
+    have the rule's kinds, their join keys (if the rule has a join) are
+    equal, its guard holds and, for a connect rule, its edge is absent; its
+    effect is the sorted edge plus the relabels sorted by node.  Both are
+    written here, not taken from zfnets.grammar, so the oracle shares no
+    predicate with the index it grades.
     """
     labels, g = state.labels, state.graph
     out: list[Match] = []
@@ -313,6 +314,8 @@ def applicable_matches_rescan(state: LabeledGraph, rules: list[Rule]) -> list[Ma
         for nodes in candidates:
             la = labels[nodes[0]]
             lb = labels[nodes[1]] if len(nodes) == 2 else None
+            if rule.join is not None and rule.join[0](la) != rule.join[1](lb):
+                continue
             if not rule.guard(la, lb) or (rule.connect and g.has_edge(*nodes)):
                 continue
             relabels = sorted(

@@ -115,6 +115,15 @@ def test_g1bar_path_case():
     assert build_g1_bar(5, 1, 5).graph == path_graph(5)
 
 
+def test_g1bar_is_the_kth_power_of_the_path():
+    # u ~ v iff 1 <= |u - v| <= k, the band a no-fill elimination order rests on
+    for k in range(1, 9):
+        for d in range(1, 31):
+            n = k * d
+            power = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, min(n, u + k + 1))])
+            assert build_g1_bar(n, k, d).graph == power, (k, d)
+
+
 def test_g2bar_concrete_edge_set():
     net = build_g2_bar(5, 2)
     assert net.graph.edges() == [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 3), (3, 4)]

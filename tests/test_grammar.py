@@ -214,8 +214,9 @@ def _keep(a, b):
     dict(right=ALPHA, relabel_left=_keep),
     dict(right=ALPHA, relabel_right=_keep),
     dict(right=ALPHA),
+    dict(relabel_left=_keep, join=(_keep, _keep)),
 ], ids=["one-connect", "one-relabel-right", "one-no-relabel",
-        "two-relabel-left", "two-relabel-right", "two-no-effect"])
+        "two-relabel-left", "two-relabel-right", "two-no-effect", "one-join"])
 def test_rule_rejects_shapes_whose_effect_omits_a_node(shape):
     with pytest.raises(ValueError, match="^rule 'odd': a (one|two)-node rule must "):
         Rule("odd", PI1, LEADER, **shape)
@@ -412,20 +413,6 @@ def test_r1_makes_a_few_guard_calls_per_step():
     assert len(calls) <= 8 * len(schedule.steps), (len(calls), len(schedule.steps))
 
 
-@pytest.mark.parametrize("k, d", [(2, 6), (4, 5), (5, 8)])
-def test_r1_joins_are_necessary_conditions_of_their_guards(k, d):
-    labels = [lab for i in range(1, k + 1) for lab in (
-        Label(LEADER, i), Label(LEADER, i, 0),
-        *(Label(kind, i, j) for kind in (BETA, GAMMA) for j in range(1, d)))]
-    keyed = [rule for rule in grammar_r1(k, d) if rule.join is not None]
-    assert [rule.name for rule in keyed] == ["r6", "r7", "r8"]
-    for rule in keyed:
-        left_key, right_key = rule.join
-        for a in (lab for lab in labels if lab.kind == rule.left):
-            for b in (lab for lab in labels if lab.kind == rule.right):
-                assert not rule.guard(a, b) or left_key(a) == right_key(b), (rule.name, a, b)
-
-
 @pytest.mark.parametrize("make_rules, n", [
     (lambda: grammar_r1(3, 4), 12),
     (lambda: grammar_r1(4, 5), 20),
@@ -488,8 +475,9 @@ def _random_labeled_graph(rng, n: int) -> LabeledGraph:
 # itself sets from the right label; connect rules within one kind, whose
 # reverse bindings may share an effect; `swap`, which relabels both of its
 # nodes without joining them, so its reverse binding is new after it; and
-# `hop`, a keyed rule whose relabels move both nodes to other join keys,
-# creating and emptying label groups and so buckets.
+# `hop`, a keyed rule whose join is its whole condition and whose relabels
+# move both nodes to other join keys, creating and emptying label groups
+# and so buckets.
 EDGE_CASE_RULES = [
     Rule("bump", PI1, BETA, ALPHA, guard=lambda a, b: a.i < 4,
          relabel_left=lambda a, b: Label(BETA, a.i + 1), relabel_right=lambda a, b: b),
@@ -506,11 +494,24 @@ EDGE_CASE_RULES = [
          relabel_left=lambda a, b: a, relabel_right=lambda a, b: Label(BETA, a.i)),
     Rule("swap", PI1, GAMMA, BETA, guard=lambda a, b: a.i != b.i,
          relabel_left=lambda a, b: Label(BETA, a.i), relabel_right=lambda a, b: Label(GAMMA, b.i)),
-    Rule("hop", PI2, GAMMA, BETA, guard=lambda a, b: b.i == a.i + 1,
-         join=(lambda a: a.i + 1, lambda b: b.i),
+    Rule("hop", PI2, GAMMA, BETA, join=(lambda a: a.i + 1, lambda b: b.i),
          relabel_left=lambda a, b: Label(GAMMA, b.i, a.j),
          relabel_right=lambda a, b: Label(BETA, a.i, b.j)),
 ]
+
+
+def _asked_within_a_layer(a: Label, b: Label) -> bool:
+    assert a.j == b.j, f"guard asked about {a} and {b}, whose join keys differ"
+    return True
+
+
+# Keyed rules whose guards do not test their keys: only the join keeps BETA
+# nodes of different layers apart in `layer`, whose guard is asked only
+# about labels whose keys agree, and only the join tells a `rise` binding
+# from its reverse, which has the same effect.
+LAYER = Rule("layer", PI2, BETA, BETA, guard=_asked_within_a_layer, connect=True,
+             join=(lambda a: a.j, lambda b: b.j))
+RISE = Rule("rise", PI2, BETA, BETA, connect=True, join=(lambda a: a.j + 1, lambda b: b.j))
 
 
 def _index_follows_rescan(state: LabeledGraph, rules: list[Rule], rng, steps: int = 40) -> None:
@@ -532,7 +533,7 @@ CROWD_LABELS = [Label(ALPHA), Label(BETA, 2, 2), Label(GAMMA, 1, 2), Label(LEADE
 @pytest.mark.parametrize("seed", range(8))
 def test_match_index_tracks_random_rewrites(seed):
     rng = np.random.default_rng(seed)
-    rule_sets = (EDGE_CASE_RULES, grammar_r1(2, 6), grammar_r2(12, 2))
+    rule_sets = (EDGE_CASE_RULES, grammar_r1(2, 6), grammar_r2(12, 2), [LAYER, RISE])
     for rules in rule_sets:
         _index_follows_rescan(_random_labeled_graph(rng, 12), rules, rng)
     rng = np.random.default_rng([seed, 40])
@@ -541,6 +542,13 @@ def test_match_index_tracks_random_rewrites(seed):
         for v in rng.choice(40, 12, replace=False):
             state.labels[int(v)] = CROWD_LABELS[seed % 4]
         _index_follows_rescan(state, rules, rng)
+
+
+def test_replay_rejects_a_binding_whose_join_keys_differ():
+    state = LabeledGraph(Graph(3), [Label(BETA, 1, 1), Label(BETA, 2, 2), Label(BETA, 3, 1)])
+    with pytest.raises(ValueError, match=r"^step 1: binding \(0, 1\) for layer is not applicable$"):
+        replay(state, [LAYER], Schedule(0, (("layer", (0, 1)),)))
+    assert replay(state, [LAYER], Schedule(0, (("layer", (0, 2)),))).graph.has_edge(0, 2)
 
 
 # Labels a node outside a binding can carry in R1 and R2: every chain-start
