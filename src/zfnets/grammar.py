@@ -68,6 +68,7 @@ from typing import Callable, Hashable, Iterable, NamedTuple, Optional
 
 from .constructions import ConstructedNetwork
 from .graph import Graph
+from .zero_forcing import word_of
 
 ALPHA = "alpha"
 SEED = "seed"
@@ -655,42 +656,17 @@ def replay(initial: LabeledGraph, rules: Iterable[Rule], schedule: Schedule) -> 
     return state
 
 
-def _role_tag(lab: Label) -> str | None:
-    if lab.kind == LEADER:
-        return f"L{lab.i}"
-    if lab.kind == BETA and lab.j is not None:
-        return f"u_{lab.i},{lab.j}"
-    if lab.kind == GAMMA and lab.j is None:
-        return f"u_{lab.i}"
-    return None
-
-
 def label_isomorphic(state: LabeledGraph, target: ConstructedNetwork) -> bool:
-    """True iff the final labels map the state's edges exactly onto target's.
-
-    Chain labels carry their intended position, so the comparison is a direct
-    role-tag lookup — no isomorphism search.  Raises NonConvergenceError if
-    alpha or seed labels remain.
-    """
+    """True iff the state has target's leader count and forcing word
+    (zero_forcing.word_of) with leader Li in slot i-1: then its graph is
+    target's, Li at target's leader i-1.  Follower labels are not compared,
+    and a target below the edge bound has no word, so nothing matches it.
+    Raises NonConvergenceError if alpha or seed labels remain."""
     stuck = [v for v, lab in enumerate(state.labels) if lab.kind in (ALPHA, SEED)]
     if stuck:
-        raise NonConvergenceError(
-            f"state is not converged: nodes {stuck} still labeled alpha/seed"
-        )
-    if state.graph.n != target.graph.n:
+        raise NonConvergenceError(f"state is not converged: nodes {stuck} still labeled alpha/seed")
+    leaders = sorted(state.nodes_with_kind(LEADER), key=lambda v: state.labels[v].i)
+    if len(leaders) != len(target.leaders):
         return False
-    mapping: dict[int, str] = {}
-    for v, lab in enumerate(state.labels):
-        role = _role_tag(lab)
-        if role is None:
-            return False
-        mapping[v] = role
-    target_ids = {role: v for v, role in target.layout.items()}
-    if sorted(mapping.values()) != sorted(target_ids):
-        return False
-    to_target = {v: target_ids[role] for v, role in mapping.items()}
-    mapped = {
-        (min(to_target[u], to_target[v]), max(to_target[u], to_target[v]))
-        for u, v in state.graph.edges()
-    }
-    return mapped == set(target.graph.edges())
+    word = word_of(state.graph, leaders)
+    return word is not None and word == word_of(target.graph, target.leaders.ids)

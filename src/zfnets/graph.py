@@ -236,10 +236,10 @@ def to_edge_list_text(g: Graph) -> str:
 def from_edge_list_text(text: str) -> Graph:
     """Parse the format written by to_edge_list_text.
 
-    Blank lines are skipped.  One '# n=<count>' header fixes the vertex
-    count; other comment lines are ignored.  Without a header the count is
-    max id + 1.  A bad line, a negative count, a second header or an edge
-    given twice, in either orientation, raises ValueError('line <k>: ...').
+    Blank lines are skipped.  A '# n=<count>' header, n in either case and
+    spaces around n and the count, fixes the vertex count, else it is max
+    id + 1; other comments are ignored.  A bad line, a negative count, a second header or
+    an edge given twice, in either orientation, raises ValueError('line <k>: ...').
     """
     edges: list[tuple[int, int, int]] = []
     n: int | None = None
@@ -249,11 +249,11 @@ def from_edge_list_text(text: str) -> Graph:
             if not line:
                 continue
             if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("n="):
+                key, eq, value = line[1:].partition("=")
+                if eq and key.strip().lower() == "n":
                     if n is not None:
                         raise ValueError(f"repeated '# n=' header (first on line {header_line})")
-                    n, header_line = int(body[2:]), lineno
+                    n, header_line = int(value), lineno
                     if n < 0:
                         raise ValueError(f"vertex count must be non-negative, got {n}")
                 continue

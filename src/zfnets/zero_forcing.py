@@ -3,19 +3,20 @@
 A black node with exactly one white neighbor forces that neighbor black.
 A set whose closure is the whole vertex set is a zero forcing set (ZFS);
 for leader-follower consensus dynamics this is exactly strong structural
-controllability of the pair (graph, leaders).  Only _run applies forces;
-derived_set, closure and is_unique_process each read one run of it, and
-_verify reads the ZFS, uniqueness and maximality verdicts off one run.
-is_maximal_for_zfs answers from the edge bound kn - k(k+1)/2 when the graph
-meets it, and otherwise from the same run: per-node bitsets of the recorded
-forces that need each node black give every forcer's stalled white set.
+controllability of the pair (graph, leaders).  derived_set, closure,
+is_unique_process and word_of (a graph's forcing word) each read one run
+of the engine _run, and _verify reads the ZFS, uniqueness and maximality
+verdicts off one run.  is_maximal_for_zfs answers from the edge bound
+kn - k(k+1)/2 when the graph meets it, and otherwise from the same run:
+per-node bitsets of the recorded forces that need each node black, and
+the forcing rule rerun on those bitsets, give every forcer's stalled set.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import compress, count, repeat
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .constructions import expected_edges
 from .graph import Graph, LeaderSet
@@ -97,6 +98,25 @@ def derived_set(g: Graph, black: Iterable[int]) -> ForcingTrace:
     makes the trace deterministic.  The closure itself is order-independent.
     """
     return _run(g, black)[0]
+
+
+def word_of(g: Graph, leaders: Sequence[int]) -> list[int] | None:
+    """The forcing word of g, leader leaders[i] in slot i: build_word(k,
+    word) is g with the followers numbered as they turn black, as the
+    constructions.build_word docstring proves.  None when the leaders are
+    not a ZFS of g or g is below the edge bound.  Only the last force may
+    have two forcers, and the last symbol never changes the graph, so it is
+    0.  Repeated leader ids raise ValueError."""
+    if len(set(leaders)) != len(leaders):
+        raise ValueError(f"repeated leader ids in {list(leaders)}")
+    trace = derived_set(g, leaders)
+    if len(trace.derived) != g.n or g.edge_count() < expected_edges(g.n, len(leaders)):
+        return None
+    slot, word = {v: i for i, v in enumerate(leaders)}, []
+    for x, y in trace.steps:
+        word.append(slot[x])
+        slot[y] = slot.pop(x)
+    return word[:-1] + [0] if word else []
 
 
 def closure(g: Graph, black: Iterable[int]) -> frozenset[int]:

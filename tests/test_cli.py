@@ -221,6 +221,16 @@ def test_verify_names_the_edge_list_line_at_fault(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("header", ["# n = 4", "# N=4"])
+def test_verify_reads_a_header_with_spaces_or_a_capital_n(tmp_path, capsys, header):
+    # 4 nodes, 2 of them isolated, so leader 0 cannot force them
+    path = tmp_path / "g.edges"
+    path.write_text(f"{header}\n0 1\n")
+    code, out = run(capsys, "verify", "--graph", str(path), "--leaders", "0")
+    assert code == 3
+    assert out.splitlines()[:1] == ["zfs: no"]
+
+
 def test_verify_rejects_an_edge_given_twice(tmp_path, capsys):
     path = tmp_path / "g.edges"
     path.write_text("0 1\n1 2\n2 1\n")

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from oracles import applicable_matches_rescan
 from zfnets import grammar
-from zfnets.constructions import build_g1_bar, build_g2_bar, expected_edges
+from zfnets.constructions import build_g1_bar, build_g2_bar, build_g3_bar, expected_edges
 from zfnets.graph import LeaderSet
 from zfnets.grammar import (
     ALPHA,
@@ -248,10 +248,36 @@ def test_label_isomorphic_rejects_unconverged_states():
 
 
 def test_label_isomorphic_discriminates_targets():
+    target = build_g1_bar(12, 3, 4)
     state, _ = run_to_fixpoint(initial_state(12), grammar_r1(3, 4), seed=0)
-    assert label_isomorphic(state, build_g1_bar(12, 3, 4))
+    assert label_isomorphic(state, target)
     assert not label_isomorphic(state, build_g2_bar(12, 3))
     assert not label_isomorphic(state, build_g1_bar(16, 4, 4))
+    moved = state.copy()
+    moved.graph.remove_edge(*moved.graph.edges()[-1])
+    moved.graph.add_edge(*moved.graph.non_edges()[0])
+    assert not label_isomorphic(moved, target)
+    swapped = state.copy()
+    a, b = (next(v for v, lab in enumerate(state.labels) if lab.kind == LEADER and lab.i == i)
+            for i in (1, 2))
+    swapped.labels[a], swapped.labels[b] = state.labels[b], state.labels[a]
+    assert not label_isomorphic(swapped, target)
+    # the r2 run and g2bar(13, 4) both have the word 0^9: only k tells them apart
+    state, _ = run_to_fixpoint(initial_state(12), grammar_r2(12, 3), seed=0)
+    assert label_isomorphic(state, build_g2_bar(12, 3))
+    assert not label_isomorphic(state, build_g2_bar(13, 4))
+
+
+def test_label_isomorphic_judges_a_relabelled_g3bar():
+    # no grammar builds g3bar yet: wrap a shuffled build, leader labels on its leaders
+    net = build_g3_bar(24, 3, 5)
+    perm = [int(v) for v in np.random.default_rng(5).permutation(24)]
+    labels = [Label(GAMMA, 1)] * 24
+    for i in range(3):
+        labels[perm[i]] = Label(LEADER, i + 1, 0)
+    state = LabeledGraph(Graph(24, [(perm[u], perm[v]) for u, v in net.graph.edges()]), labels)
+    assert label_isomorphic(state, net)
+    assert not label_isomorphic(state, build_g3_bar(24, 3, 4))
 
 
 # Its match stays listed, so only the step budget, 4 n^2 + 8 n + 32, ends a run.

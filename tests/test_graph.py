@@ -233,14 +233,20 @@ def test_edge_list_reader_rejects_malformed_lines():
     ("0 1\n1 x\n", "line 2: invalid literal for int() with base 10: 'x'"),
     ("0 1\n\n2 2\n", "line 3: self-loop at vertex 2 is not allowed"),
     ("# n=4\n0 1\n1 7\n", "line 3: vertex 7 out of range for graph on 4 nodes"),
+    ("# n = 4\n0 1\n1 7\n", "line 3: vertex 7 out of range for graph on 4 nodes"),
+    ("# N=4\n0 1\n1 7\n", "line 3: vertex 7 out of range for graph on 4 nodes"),
     ("# n=four\n0 1\n", "line 1: invalid literal for int() with base 10: 'four'"),
+    ("# n = 4 5\n0 1\n", "line 1: invalid literal for int() with base 10: ' 4 5'"),
     ("0 1\n-1 2\n", "line 2: vertex -1 out of range for graph on 3 nodes"),
     ("0 1\n# n=-3\n", "line 2: vertex count must be non-negative, got -3"),
     ("# n=4\n# n=6\n0 1\n", "line 2: repeated '# n=' header (first on line 1)"),
+    ("# n=4\n# N = 6\n0 1\n", "line 2: repeated '# n=' header (first on line 1)"),
     ("0 1\n1 2\n0 1\n", "line 3: repeated edge 0 1 (first on line 1)"),
     ("# n=5\n3 4\n\n0 1\n4 3\n1 0\n", "line 5: repeated edge 4 3 (first on line 2)"),
-], ids=["bad-id", "self-loop", "out-of-range", "bad-header", "negative-id", "negative-header",
-        "repeated-header", "repeated-edge", "repeated-edge-reversed"])
+], ids=["bad-id", "self-loop", "out-of-range", "out-of-range-spaced-header",
+        "out-of-range-capital-header", "bad-header", "bad-spaced-header", "negative-id",
+        "negative-header", "repeated-header", "repeated-mixed-header", "repeated-edge",
+        "repeated-edge-reversed"])
 def test_edge_list_reader_names_the_line_at_fault(text, message):
     with pytest.raises(ValueError) as info:
         from_edge_list_text(text)

@@ -22,6 +22,7 @@ from zfnets.zero_forcing import (
     is_unique_process,
     is_zfs,
     validate_trace,
+    word_of,
 )
 
 
@@ -201,3 +202,55 @@ def test_derived_set_order_independent(seed):
             v, u = cands[int(rng.integers(len(cands)))]
             current.add(u)
         assert frozenset(current) == reference
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_word_of_reads_back_a_relabelled_word(data):
+    k = data.draw(st.integers(1, 6))
+    word = data.draw(st.lists(st.integers(0, k - 1), max_size=40))
+    n = k + len(word)
+    perm = data.draw(st.permutations(range(n)))
+    g = Graph(n, [(perm[u], perm[v]) for u, v in cons.build_word(k, word).edges()])
+    # the last symbol never changes the graph, so word_of reads it as 0
+    assert word_of(g, [perm[i] for i in range(k)]) == (word[:-1] + [0] if word else [])
+
+
+def documented_word(family: str, n: int, k: int, d: int) -> list[int]:
+    """A bar family's word as the constructions docstring and the README give it."""
+    if family == cons.G1_BAR or (family == cons.G3_BAR and d > 2 and k * d == n):
+        return list(range(k)) * (d - 1)
+    return list(range(k)) * (d - 2) + [0] * (n - k * (d - 1))  # g2bar is g3bar at d = 2
+
+
+def test_word_of_every_family_build_is_its_documented_word():
+    checked = 0
+    for n in range(1, 25):
+        for k in range(1, n + 1):
+            for family in cons.FAMILIES:
+                for d in [None] if family == cons.G2_BAR else range(1, n + 1):
+                    try:
+                        net = cons.build(cons.ConstructionSpec(family, n, k, d))
+                    except cons.InfeasibleSpecError:
+                        continue
+                    checked += 1
+                    if family == cons.G1:  # below the edge bound unless it is g1bar
+                        expected = documented_word(cons.G1_BAR, n, k, d) if 1 in (k, d) else None
+                    else:
+                        expected = documented_word(family, n, k, net.spec.d)
+                    if expected:
+                        expected[-1] = 0
+                    assert word_of(net.graph, net.leaders.ids) == expected, (family, n, k, d)
+    assert checked == 727
+
+
+def test_word_of_needs_forcing_leaders_at_the_edge_bound():
+    g = build_g1_bar(12, 3, 4).graph
+    assert word_of(g, [2, 1, 0]) == [2, 1, 0] * 3  # leader leaders[i] is slot i
+    assert word_of(build_g1(12, 3, 4).graph, [0, 1, 2]) is None  # forces, below the bound
+    assert word_of(g, [0, 1, 5]) is None  # not a ZFS
+    assert word_of(g, [0, 1]) is None
+    with pytest.raises(ValueError, match="repeated leader ids"):
+        word_of(g, [0, 0, 1])
+    with pytest.raises(ValueError, match="out of range"):
+        word_of(g, [0, 1, 12])
