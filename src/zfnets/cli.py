@@ -237,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=cons.FAMILIES, help="network family")
     p.add_argument("--nodes", type=int, help="total node count N")
     p.add_argument("--leaders", type=int, help="leader count")
-    p.add_argument("--diameter", type=int, help="target diameter (g1/g1bar/g3bar)")
+    p.add_argument("--diameter", type=int, help="g3bar needs it; else N/leaders, or 2 for g2bar")
     p.add_argument("--config", help="key=value file with family, n, nl, d")
     p.add_argument("--out", help="output path prefix (default under ZFNETS_OUT_DIR)")
     p.add_argument("--format", choices=("dot", "edgelist", "all"),
@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rules", choices=GRAMMARS, required=True)
     p.add_argument("--nodes", type=int, required=True)
     p.add_argument("--leaders", type=int, required=True)
-    p.add_argument("--diameter", type=int, help="target diameter (r1; r2 accepts only 2)")
+    p.add_argument("--diameter", type=int, help="optional: N/leaders for r1, 2 for r2")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--prefer-pi2", action="store_true",
                    help="always take an edge-maximizing match when one exists")

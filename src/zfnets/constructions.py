@@ -71,8 +71,10 @@ def normalize_family(name: str) -> str:
 class ConstructionSpec:
     """Validated parameters for one network build.
 
-    d is required for g1/g1bar/g3bar and fixed at 2 for g2bar (a supplied
-    value other than 2 is rejected rather than ignored).
+    d is asked for only where it is a choice: g3bar requires it.  Where n
+    and k fix it, an omitted d is filled in: n // k layers for g1/g1bar
+    (g1's measured diameter is 2n/k - 1 when k >= 2) and 2 for g2bar.  A
+    supplied d must agree, and g1/g1bar reject a k that does not divide n.
     """
 
     family: str
@@ -92,7 +94,8 @@ class ConstructionSpec:
             )
         if family in (G1, G1_BAR):
             if d is None:
-                raise InfeasibleSpecError(f"family {family} requires a diameter d")
+                d = n // k
+                object.__setattr__(self, "d", d)
             if d < 1:
                 raise InfeasibleSpecError(f"diameter must be positive, got d={d}")
             if n != k * d:
@@ -204,25 +207,6 @@ def default_g3_diameter(n: int, n_leaders: int) -> int:
     k = n_leaders
     mid = -(-(2 * k + n) // (2 * k))  # ceil((2 + n/k) / 2) in integers
     return min(max(mid, 2), n // k)
-
-
-def default_d(family: str, n: int, n_leaders: int) -> int | None:
-    """Diameter to request when none is given: n/k layers for g1/g1bar, 2 for
-    g2bar, the range midpoint for g3bar.
-
-    Feasibility is left to ConstructionSpec: a non-divisor leader count for
-    g1/g1bar yields a d that the spec rejects, and a leader count below 1
-    yields None.
-    """
-    family = normalize_family(family)
-    k = n_leaders
-    if k < 1:
-        return None
-    if family in (G1, G1_BAR):
-        return n // k
-    if family == G2_BAR:
-        return 2
-    return default_g3_diameter(n, k)
 
 
 def _layered_layout(k: int, layers: int) -> dict[int, str]:

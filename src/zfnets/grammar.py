@@ -228,7 +228,7 @@ def grammar_r1(n_leaders: int, d: int) -> list[Rule]:
     if n_leaders < 1:
         raise ValueError(f"need n_leaders >= 1, got {n_leaders}")
     if d < 2:
-        raise ValueError(f"need d >= 2, got {d}")
+        raise ValueError(f"need d = n/n_leaders >= 2 layers, got d={d}")
     last = d - 1
     r0, r1, r5 = _leader_rules(n_leaders)
     return [

@@ -79,20 +79,20 @@ def sweep(
 ) -> tuple[list[SweepRow], list[str]]:
     """Metrics for every feasible (family, n_leaders) point at fixed n.
 
-    Each point is built at cons.default_d unless g3_d fixes the g3bar
-    diameter.  Points ConstructionSpec rejects (e.g. non-divisor leader
-    counts for the layered family) are skipped and described in the
-    returned notes list.  A family (under any alias) or a leader count
-    named again adds no second row.
+    Only g3bar is given a diameter: g3_d, or else the midpoint
+    cons.default_g3_diameter; ConstructionSpec fills in the others.  Points
+    it rejects (e.g. non-divisor leader counts for the layered family) are
+    skipped and described in the returned notes list.  A family (under any
+    alias) or a leader count named again adds no second row.
     """
     families = list(dict.fromkeys(map(cons.normalize_family, families)))
     rows: list[SweepRow] = []
     notes: list[str] = []
     for k in dict.fromkeys(leader_values):
         for family in families:
-            d = cons.default_d(family, n, k)
-            if family == cons.G3_BAR and g3_d is not None:
-                d = g3_d
+            d = None
+            if family == cons.G3_BAR and k >= 1:  # the midpoint divides by 2k
+                d = g3_d if g3_d is not None else cons.default_g3_diameter(n, k)
             try:
                 net = cons.build(cons.ConstructionSpec(family, n, k, d))
             except cons.InfeasibleSpecError as exc:

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import numpy as np
 
+from zfnets.constructions import G3_BAR, ConstructionSpec, default_g3_diameter
 from zfnets.graph import Graph
 
 
@@ -27,6 +28,12 @@ def g3_diameters(n: int, k: int) -> range:
     if k < 2 or n - k < 2:
         return range(0)
     return range(2, n // k + 1)
+
+
+def sweep_spec(family: str, n: int, k: int) -> ConstructionSpec:
+    """The spec robustness.sweep builds at (n, k): g3bar at its midpoint
+    diameter, every other family at the d its spec fills in."""
+    return ConstructionSpec(family, n, k, default_g3_diameter(n, k) if family == G3_BAR else None)
 
 
 def random_connected_graph(rng: np.random.Generator, n: int, extra_edges: int) -> Graph:

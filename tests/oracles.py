@@ -6,7 +6,9 @@ bisection (vs. LAPACK's eigvalsh in the package), zero-forcing closure,
 traces and uniqueness via naive rescanning (vs. the heap-ordered worklist),
 addable edges by rerunning that rescan on every G + uv (vs. the edge bound
 and the resumed forcing record), grammar matches by checking every binding
-of every rule (vs. the incremental match index), and Kalman rank over Q via Fraction
+of every rule (vs. the incremental match index), every schedule of a grammar
+by a breadth-first search over its states (vs. seeded random runs), vertex
+connectivity by removing every small node set, and Kalman rank over Q via Fraction
 elimination on the exact integer powers and mod a prime via Python-int
 elimination of the explicit Kalman matrix (vs. lock-step block Krylov
 elimination in float64 BLAS).
@@ -20,13 +22,14 @@ report.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import scipy.linalg
 
-from zfnets.grammar import LabeledGraph, Match, Rule
+from zfnets.grammar import ALPHA, LabeledGraph, Match, Rule, Schedule, initial_state, replay
 from zfnets.graph import Graph
 from zfnets.ssc import SystemRealization, controllability_report
 from zfnets.zero_forcing import ForcingTrace
@@ -68,6 +71,24 @@ def bfs_distances(g: Graph, source: int) -> list[int | None]:
                 dist[y] = dist[x] + 1
                 queue.append(y)
     return dist
+
+
+def vertex_connectivity(g: Graph) -> int:
+    """The fewest nodes whose removal leaves g disconnected or with one node,
+    found by trying every node set in order of size."""
+    for size in range(g.n - 1):
+        for cut in combinations(range(g.n), size):
+            rest = set(range(g.n)) - set(cut)
+            start = min(rest)
+            seen, stack = {start}, [start]
+            while stack:
+                for y in g.neighbors(stack.pop()):
+                    if y in rest and y not in seen:
+                        seen.add(y)
+                        stack.append(y)
+            if len(seen) < len(rest):
+                return size
+    return max(g.n - 1, 0)
 
 
 def is_controllable_pair(r: SystemRealization) -> bool:
@@ -327,6 +348,52 @@ def applicable_matches_rescan(state: LabeledGraph, rules: list[Rule]) -> list[Ma
                 seen.add(key)
                 out.append(Match(rule, nodes))
     return out
+
+
+def state_key(state: LabeledGraph):
+    """A labeled state up to renaming its nodes: the label multiset plus the
+    edges as label pairs.
+
+    The key is exact (two states share it iff one is the other renamed) when
+    no two non-alpha nodes share a label and alpha nodes have no edges.  Both
+    are asserted here, so no key is taken for a state that breaks them.
+    """
+    labels, g = state.labels, state.graph
+    named = [lab for lab in labels if lab.kind != ALPHA]
+    assert len(set(named)) == len(named), f"two non-alpha nodes share a label: {labels}"
+    assert all(not g.neighbors(v) for v, lab in enumerate(labels) if lab.kind == ALPHA), \
+        f"an alpha node has an edge: {labels}"
+    return (frozenset(Counter(labels).items()),
+            frozenset(frozenset((labels[u], labels[v])) for u, v in g.edges()))
+
+
+def explore(n: int, rules: list[Rule]) -> tuple[dict, dict]:
+    """Every state the rules reach from initial_state(n), breadth first.
+
+    A state's successors are its matches from applicable_matches_rescan, each
+    applied by a one-step zfnets.grammar.replay, so the search shares no
+    listing code with the match index.  Returns (successors, states):
+    successors maps each state_key to the set of keys one step away, and
+    states maps it to the first state found with that key.
+    """
+    start = initial_state(n)
+    first = state_key(start)
+    successors: dict = {}
+    states = {first: start}
+    queue = deque([first])
+    while queue:
+        key = queue.popleft()
+        state = states[key]
+        successors[key] = set()
+        for match in applicable_matches_rescan(state, rules):
+            step = Schedule(seed=0, steps=((match.rule.name, match.nodes),))
+            after = replay(state, rules, step)
+            nxt = state_key(after)
+            successors[key].add(nxt)
+            if nxt not in states:
+                states[nxt] = after
+                queue.append(nxt)
+    return successors, states
 
 
 def kalman_rank_exact(m, b) -> int:

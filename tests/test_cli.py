@@ -12,7 +12,13 @@ import pytest
 
 from zfnets import zero_forcing
 from zfnets.cli import main
-from zfnets.constructions import FAMILIES, build_g1, build_g1_bar, build_g2_bar, default_d
+from zfnets.constructions import (
+    FAMILIES,
+    build_g1,
+    build_g1_bar,
+    build_g2_bar,
+    default_g3_diameter,
+)
 from zfnets.graph import Graph, from_edge_list_text, to_edge_list_text
 from zfnets.robustness import spectrum
 
@@ -66,8 +72,10 @@ def test_construct_is_byte_deterministic(tmp_path, capsys):
 
 
 # sha256 of the .edges, .layout and .dot texts, in that order, over
-# N in (60, 120, 240) x (2, 4, 6) leaders at default_d: any node id, edge or
-# layout role that moves changes the digest.
+# N in (60, 120, 240) x (2, 4, 6) leaders: any node id, edge or layout role
+# that moves changes the digest.  Only g3bar is given --diameter, its range
+# midpoint; the digests were taken with --diameter N/leaders for g1 and
+# g1bar and 2 for g2bar, so they also pin the d that construct fills in.
 CONSTRUCT_DIGESTS = {
     "g1": "8b7bcada414cf3a07a76cbfd1db44b28a4d98ab3bab00458ed8c59cf107f09eb",
     "g1bar": "3d7f901af7140025c80e33112989d717b826bef1a8d4880fa094f5e082ed798d",
@@ -82,9 +90,9 @@ def test_construct_files_match_pinned_digests(tmp_path, capsys, family):
     for n in (60, 120, 240):
         for k in (2, 4, 6):
             prefix = tmp_path / f"{family}_{n}_{k}"
+            diameter = ["--diameter", str(default_g3_diameter(n, k))] if family == "g3bar" else []
             code, _ = run(capsys, "construct", "--family", family, "--nodes", str(n),
-                          "--leaders", str(k), "--diameter", str(default_d(family, n, k)),
-                          "--out", str(prefix))
+                          "--leaders", str(k), *diameter, "--out", str(prefix))
             assert code == 0
             for ext in (".edges", ".layout", ".dot"):
                 digest.update((tmp_path / f"{prefix.name}{ext}").read_bytes())
@@ -174,6 +182,25 @@ def test_construct_infeasible_exits_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr()  # message goes to stderr via the error path
     assert not (tmp_path / "x.edges").exists()
+
+
+def test_construct_names_the_filled_in_d_in_its_default_file_names(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("ZFNETS_OUT_DIR", str(tmp_path))
+    code, text = run(capsys, "construct", "--family", "g1", "--nodes", "12", "--leaders", "3")
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "g1_n12_nl3_d4.dot", "g1_n12_nl3_d4.edges", "g1_n12_nl3_d4.layout"]
+    # d is g1's layer count; its measured diameter is 2d - 1
+    assert text.endswith("family=g1 n=12 leaders=3 edges=12 diameter=7\n")
+
+
+def test_construct_g3bar_without_diameter_exits_2(tmp_path, capsys):
+    code = main(["construct", "--family", "g3bar", "--nodes", "240", "--leaders", "4",
+                 "--out", str(tmp_path / "x")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: infeasible spec: family g3bar requires a diameter d\n"
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
 
 
 def test_construct_honors_out_dir_env(tmp_path, capsys, monkeypatch):
@@ -472,6 +499,29 @@ def test_grammar_r1_requires_consistent_shape(tmp_path, capsys):
                   "--leaders", "3", "--diameter", "5",
                   "--out", str(tmp_path / "x"))
     assert code == 2
+
+
+@pytest.mark.parametrize("rules, d", [("r1", "4"), ("r2", "2")])
+def test_grammar_without_diameter_writes_the_trace_of_its_fixed_d(tmp_path, capsys, rules, d):
+    common = ["grammar", "--rules", rules, "--nodes", "12", "--leaders", "3", "--seed", "7"]
+    assert main(common + ["--diameter", d, "--out", str(tmp_path / "given")]) == 0
+    given = capsys.readouterr()
+    assert main(common + ["--out", str(tmp_path / "filled")]) == 0
+    filled = capsys.readouterr()
+    assert filled.err == given.err == ""
+    assert filled.out == given.out.replace("given", "filled")
+    for ext in (".trace", ".dot"):
+        assert (tmp_path / f"filled{ext}").read_bytes() == (tmp_path / f"given{ext}").read_bytes()
+
+
+def test_grammar_r1_with_one_layer_exits_2(tmp_path, capsys):
+    # n = k fills in d = 1, a shape whose chains have no layer to grow
+    code = main(["grammar", "--rules", "r1", "--nodes", "4", "--leaders", "4",
+                 "--out", str(tmp_path / "x")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: need d = n/n_leaders >= 2 layers, got d=1\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_oracle_summary_and_csv(tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import g1_feasible, g2_feasible, g3_diameters, grid_points
-from oracles import edge_terms_g1, edge_terms_g2, word_edges
+from oracles import edge_terms_g1, edge_terms_g2, vertex_connectivity, word_edges
 from zfnets.constructions import (
     FAMILIES,
     ConstructionSpec,
@@ -19,12 +19,11 @@ from zfnets.constructions import (
     build_g2_bar,
     build_g3_bar,
     build_word,
-    default_d,
     expected_edges,
     normalize_family,
     parse_construction_config,
 )
-from zfnets.graph import Graph, export_dot, path_graph, to_edge_list_text
+from zfnets.graph import Graph, complete_graph, export_dot, path_graph, to_edge_list_text
 from zfnets.zero_forcing import is_zfs
 
 
@@ -206,6 +205,22 @@ def test_build_word_equals_its_listed_edges(k_word):
     assert build_word(k, word) == Graph(k + len(word), word_edges(k, word))
 
 
+@given(st.integers(1, 4).flatmap(
+    lambda k: st.tuples(st.just(k), st.lists(st.integers(0, k - 1), min_size=2, max_size=10 - k))))
+@settings(max_examples=150, deadline=None)
+def test_word_graphs_have_vertex_connectivity_k(k_word):
+    # so connectivity ties on every maximal design; only the spectrum tells them apart
+    k, word = k_word
+    assert vertex_connectivity(build_word(k, word)) == k
+
+
+def test_vertex_connectivity_oracle_on_known_graphs():
+    assert vertex_connectivity(path_graph(5)) == 1
+    assert vertex_connectivity(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])) == 2
+    assert vertex_connectivity(Graph(4, [(0, 1), (2, 3)])) == 0
+    assert vertex_connectivity(complete_graph(5)) == 4
+
+
 def test_build_word_rejects_symbols_outside_the_slots():
     assert build_word(2, [1, 0]).edge_count() == 5
     for word in ([2], [0, -1]):
@@ -245,22 +260,40 @@ def test_spec_validation_and_dispatch():
     assert build(ConstructionSpec("g2bar", 12, 3, None)).graph.diameter() == 2
 
 
-def test_default_d_per_family():
-    assert default_d("g1bar", 12, 3) == 4 and default_d("g1", 12, 3) == 4
-    assert default_d("g2bar", 12, 3) == 2
-    assert default_d("g3bar", 60, 4) == 9
-    assert default_d("g1bar", 12, 0) is None
-    # a non-divisor leader count is left for ConstructionSpec to reject
-    with pytest.raises(InfeasibleSpecError, match="n_leaders \\* d"):
-        ConstructionSpec("g1bar", 12, 5, default_d("g1bar", 12, 5))
-    with pytest.raises(InfeasibleSpecError, match="at least one leader"):
-        ConstructionSpec("g3bar", 12, 0, default_d("g3bar", 12, 0))
+@pytest.mark.parametrize("family, d", [("g1", 4), ("g1bar", 4), ("g2bar", 2)])
+def test_spec_fills_in_the_diameter_that_n_and_k_fix(family, d):
+    spec = ConstructionSpec(family, 12, 3)
+    assert spec == ConstructionSpec(family, 12, 3, d) and spec.d == d
+    assert build(spec).graph == build(ConstructionSpec(family, 12, 3, d)).graph
+
+
+@pytest.mark.parametrize("family", ["g1", "g1bar"])
+def test_spec_keeps_its_messages_when_it_fills_in_d(family):
+    # a supplied d must still agree, and a non-divisor leader count still fails
+    with pytest.raises(InfeasibleSpecError, match=(
+            f"^family {family} requires n = n_leaders \\* d "
+            "\\(got n=12, n_leaders=3, d=5, product 15\\)$")):
+        ConstructionSpec(family, 12, 3, 5)
+    with pytest.raises(InfeasibleSpecError, match=(
+            f"^family {family} requires n = n_leaders \\* d "
+            "\\(got n=12, n_leaders=5, d=2, product 10\\)$")):
+        ConstructionSpec(family, 12, 5)
+    with pytest.raises(InfeasibleSpecError, match="^need at least one leader, got n_leaders=0$"):
+        ConstructionSpec(family, 12, 0)
+
+
+def test_spec_still_asks_g3bar_for_its_diameter():
+    with pytest.raises(InfeasibleSpecError, match="^family g3bar requires a diameter d$"):
+        ConstructionSpec("g3bar", 12, 3)
+    with pytest.raises(InfeasibleSpecError, match="^family g2bar has diameter 2 by construction; got d=3$"):
+        ConstructionSpec("g2bar", 12, 3, 3)
 
 
 def test_config_parsing():
     text = "# sample\nfamily = g1bar\nn = 12\nnl = 3\nd = 4\n"
     spec = parse_construction_config(text)
     assert spec == ConstructionSpec("g1bar", 12, 3, 4)
+    assert parse_construction_config("family = g1\nn = 12\nnl = 3\n") == ConstructionSpec("g1", 12, 3, 4)
     with pytest.raises(ValueError, match="line 2"):
         parse_construction_config("family = g1bar\nnonsense\n")
     with pytest.raises(ValueError, match="unknown key"):

@@ -16,6 +16,7 @@ from conftest import (
     g3_diameters,
     grid_points,
     random_graph,
+    sweep_spec,
 )
 from oracles import (
     addable_edges_exhaustive,
@@ -50,7 +51,7 @@ def test_engine_matches_rescan_oracles(seed, n, p):
 @pytest.mark.parametrize("k", [2, 4, 6])
 @pytest.mark.parametrize("family", cons.FAMILIES)
 def test_construction_traces_match_rescan(family, n, k):
-    net = cons.build(cons.ConstructionSpec(family, n, k, cons.default_d(family, n, k)))
+    net = cons.build(sweep_spec(family, n, k))
     leaders = set(net.leaders)
     assert derived_set(net.graph, leaders).to_text() == derived_set_rescan(net.graph, leaders).to_text()
     assert is_unique_process(net.graph, leaders) == is_unique_rescan(net.graph, leaders)
@@ -80,7 +81,7 @@ def _small_specs() -> list[cons.ConstructionSpec]:
     for n in range(2, 25):
         for k in range(1, 7):
             for family in cons.FAMILIES:
-                ds = g3_diameters(n, k) if family == cons.G3_BAR else [cons.default_d(family, n, k)]
+                ds = g3_diameters(n, k) if family == cons.G3_BAR else [None]
                 for d in ds:
                     try:
                         specs.append(cons.ConstructionSpec(family, n, k, d))

@@ -4,13 +4,14 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import applicable_matches_rescan
+from oracles import applicable_matches_rescan, explore
 from zfnets import grammar
 from zfnets.constructions import build_g1_bar, build_g2_bar, build_g3_bar, expected_edges
 from zfnets.graph import LeaderSet
@@ -642,3 +643,35 @@ def test_step_and_replay_reject_node_ids_outside_the_graph():
         with pytest.raises(ValueError, match="step 1"):
             replay(r0, grammar_r1(2, 2), Schedule(0, (("r0", nodes),)))
     assert replay(st, rules, Schedule(0, (("r1", (3,)),))).labels[3] == Label(LEADER, 1)
+
+
+# (n, rules, target, reachable states up to renaming)
+EXPLORED = [
+    (6, lambda: grammar_r1(2, 3), lambda: build_g1_bar(6, 2, 3), 53),
+    (8, lambda: grammar_r1(2, 4), lambda: build_g1_bar(8, 2, 4), 184),
+    (6, lambda: grammar_r1(3, 2), lambda: build_g1_bar(6, 3, 2), 330),
+    (8, lambda: grammar_r2(8, 2), lambda: build_g2_bar(8, 2), 137),
+    (7, lambda: grammar_r2(7, 3), lambda: build_g2_bar(7, 3), 723),
+]
+
+
+@pytest.mark.parametrize("n, make_rules, make_target, count", EXPLORED,
+                         ids=["r1-6-2-3", "r1-8-2-4", "r1-6-3-2", "r2-8-2", "r2-7-3"])
+def test_every_schedule_ends_at_the_target(n, make_rules, make_target, count):
+    # not 100 seeds but every order of rule application: no schedule cycles,
+    # deadlocks or stops anywhere but at the construction
+    successors, states = explore(n, make_rules())
+    assert len(states) == count
+    indegree = Counter(nxt for after in successors.values() for nxt in after)
+    ready = [key for key in successors if not indegree[key]]
+    ordered = 0
+    while ready:  # Kahn's algorithm orders every state iff the state graph is acyclic
+        ordered += 1
+        for nxt in successors[ready.pop()]:
+            indegree[nxt] -= 1
+            if not indegree[nxt]:
+                ready.append(nxt)
+    assert ordered == len(successors)
+    terminals = [key for key, after in successors.items() if not after]
+    assert len(terminals) == 1
+    assert label_isomorphic(states[terminals[0]], make_target())

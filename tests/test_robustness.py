@@ -192,6 +192,16 @@ def test_sweep_rows_and_notes():
         assert row.kirchhoff > 0
 
 
+@pytest.mark.parametrize("g3_d", [None, 3])
+def test_sweep_notes_a_zero_leader_count_without_dividing_by_it(g3_d):
+    # the g3bar midpoint divides by 2k, so it is not asked for at k = 0
+    rows, notes = sweep(12, leader_values=[0, 3], g3_d=g3_d)
+    assert notes == [f"skip family={family} n=12 nl=0: need at least one leader, got n_leaders=0"
+                     for family in ("g1bar", "g2bar", "g3bar")]
+    assert [(r.family, r.n_leaders, r.d) for r in rows] == [
+        ("g1bar", 3, 4), ("g2bar", 3, 2), ("g3bar", 3, 3)]
+
+
 def test_sweep_runs_each_family_once_in_first_order():
     # one-shot iterators, so every leader count must see every family
     rows, _ = sweep(12, families=iter(["g3bar", "g1bar", "g1_bar", "G3-BAR", "G1BAR"]),

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_connected_graph
+from conftest import random_connected_graph, sweep_spec
 from oracles import is_controllable_pair, kalman_rank_exact, kalman_rank_mod_p
 from zfnets import ssc
 from zfnets.constructions import (
@@ -19,7 +19,7 @@ from zfnets.constructions import (
     build_g1_bar,
     build_g2_bar,
     build_g3_bar,
-    default_d,
+    default_g3_diameter,
 )
 from zfnets.graph import Graph, LeaderSet, complete_graph, path_graph
 from zfnets.ssc import (
@@ -172,7 +172,7 @@ def test_rank_is_exact_where_small_weights_lose_rank(seed, n):
 
 def test_zfs_constructions_are_certified_at_large_n():
     # the float rank called nearly every one of these trials uncontrollable
-    specs = [ConstructionSpec(f, n, 4, default_d(f, n, 4)) for f in FAMILIES for n in (60, 120)]
+    specs = [sweep_spec(f, n, 4) for f in FAMILIES for n in (60, 120)]
     specs.append(ConstructionSpec("g1bar", 240, 4, 60))
     for spec in specs:
         net = build(spec)
@@ -442,7 +442,7 @@ PINNED_CSV = [
      "1be795227b548d03271d2c0dea8e99ed5230b24c6ebab6f412a445f11d5e05c1"),
     ("g2bar120", lambda: (build_g2_bar(120, 4).graph, LeaderSet((0, 1, 2, 3))), 20, 5,
      "5ae0e44aa2ac017d780a5b3376ae22e74b30eac19961b69161dc5646399b4fa4"),
-    ("g3bar60", lambda: (build_g3_bar(60, 4, default_d("g3bar", 60, 4)).graph, LeaderSet((0, 1, 2, 3))),
+    ("g3bar60", lambda: (build_g3_bar(60, 4, default_g3_diameter(60, 4)).graph, LeaderSet((0, 1, 2, 3))),
      20, 7, "2b12de465638fd30627de41fc9f61e37c7c085c905d8819f20503483f798e258"),
     ("disconnected40", _disconnected_40, 200, 11,
      "abba2735f56f5a0a3e07fc731784f42a2b082c21ab613ca3da9ee065d814d3a7"),

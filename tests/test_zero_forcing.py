@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cross_path_non_edges, random_graph
+from conftest import cross_path_non_edges, random_graph, sweep_spec
 from oracles import closure_bruteforce, forcing_candidates
 from zfnets import constructions as cons
 from zfnets import zero_forcing
@@ -174,7 +174,7 @@ def test_g1_at_n240_violations_are_the_cross_path_pairs():
 
 @pytest.mark.parametrize("family", [cons.G1_BAR, cons.G2_BAR, cons.G3_BAR])
 def test_constructions_at_n240_are_maximal_within_0_1_s(family, monkeypatch):
-    net = cons.build(cons.ConstructionSpec(family, 240, 4, cons.default_d(family, 240, 4)))
+    net = cons.build(sweep_spec(family, 240, 4))
     runs = []
     engine = zero_forcing._run
     monkeypatch.setattr(zero_forcing, "_run", lambda *a: runs.append(a) or engine(*a))
