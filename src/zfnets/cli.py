@@ -17,7 +17,6 @@ from . import grammar as gram
 from . import robustness as rob
 from .graph import (
     Graph,
-    GraphDisconnectedError,
     LeaderSet,
     export_dot,
     from_edge_list_text,
@@ -305,7 +304,7 @@ def main(argv: list[str] | None = None) -> int:
     except (rob.ConvergenceError, gram.NonConvergenceError) as exc:
         print(f"error: did not converge: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    except (ValueError, OSError, MemoryError, GraphDisconnectedError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
 

@@ -295,11 +295,11 @@ def build(spec: ConstructionSpec) -> ConstructedNetwork:
 
 
 # Shorthands for build(ConstructionSpec(...)).
-def build_g1(n: int, n_leaders: int, d: int) -> ConstructedNetwork:
+def build_g1(n: int, n_leaders: int, d: int | None = None) -> ConstructedNetwork:
     return build(ConstructionSpec(G1, n, n_leaders, d))
 
 
-def build_g1_bar(n: int, n_leaders: int, d: int) -> ConstructedNetwork:
+def build_g1_bar(n: int, n_leaders: int, d: int | None = None) -> ConstructedNetwork:
     return build(ConstructionSpec(G1_BAR, n, n_leaders, d))
 
 

@@ -66,7 +66,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, NamedTuple, Optional
 
-from .constructions import ConstructedNetwork
+from .constructions import G1_BAR, G2_BAR, ConstructedNetwork, ConstructionSpec
 from .graph import Graph
 from .zero_forcing import word_of
 
@@ -224,11 +224,10 @@ def _leader_rules(k: int) -> tuple[Rule, Rule, Rule]:
 
 
 def grammar_r1(n_leaders: int, d: int) -> list[Rule]:
-    """Rule set producing the maximal layered family on n = n_leaders*d nodes."""
-    if n_leaders < 1:
-        raise ValueError(f"need n_leaders >= 1, got {n_leaders}")
+    """Rule set producing g1bar on n = n_leaders*d nodes, for d >= 2 layers."""
     if d < 2:
         raise ValueError(f"need d = n/n_leaders >= 2 layers, got d={d}")
+    ConstructionSpec(G1_BAR, n_leaders * d, n_leaders, d)  # raises what g1bar rejects
     last = d - 1
     r0, r1, r5 = _leader_rules(n_leaders)
     return [
@@ -260,15 +259,12 @@ def grammar_r1(n_leaders: int, d: int) -> list[Rule]:
 
 
 def grammar_r2(n: int, n_leaders: int) -> list[Rule]:
-    """Rule set producing the diameter-2 family on n nodes.
+    """Rule set producing the diameter-2 family g2bar on n nodes.
 
     The final fan-out rule connects every non-first leader to every chain
     node.
     """
-    if n_leaders < 2:
-        raise ValueError(f"need n_leaders >= 2, got {n_leaders}")
-    if n <= n_leaders:
-        raise ValueError(f"need n > n_leaders, got n={n}, n_leaders={n_leaders}")
+    ConstructionSpec(G2_BAR, n, n_leaders)  # raises what g2bar rejects
     nf = n - n_leaders
     r0, r1, r5 = _leader_rules(n_leaders)
     return [

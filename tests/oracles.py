@@ -29,7 +29,8 @@ from itertools import combinations
 import numpy as np
 import scipy.linalg
 
-from zfnets.grammar import ALPHA, LabeledGraph, Match, Rule, Schedule, initial_state, replay
+from zfnets.grammar import (ALPHA, LabeledGraph, Match, Rule, Schedule, initial_state,
+                            label_isomorphic, replay)
 from zfnets.graph import Graph
 from zfnets.ssc import SystemRealization, controllability_report
 from zfnets.zero_forcing import ForcingTrace
@@ -394,6 +395,28 @@ def explore(n: int, rules: list[Rule]) -> tuple[dict, dict]:
                 states[nxt] = after
                 queue.append(nxt)
     return successors, states
+
+
+def assert_every_schedule_ends_at(n: int, rules: list[Rule], target) -> int:
+    """Assert that every order of rule application from initial_state(n) ends
+    at target: the state graph that explore finds is acyclic, so no schedule
+    cycles, and it has one terminal state, which label_isomorphic accepts, so
+    none deadlocks or stops elsewhere.  Returns the number of states."""
+    successors, states = explore(n, rules)
+    indegree = Counter(nxt for after in successors.values() for nxt in after)
+    ready = [key for key in successors if not indegree[key]]
+    ordered = 0
+    while ready:  # Kahn's algorithm orders every state iff the state graph is acyclic
+        ordered += 1
+        for nxt in successors[ready.pop()]:
+            indegree[nxt] -= 1
+            if not indegree[nxt]:
+                ready.append(nxt)
+    assert ordered == len(successors)
+    terminals = [key for key, after in successors.items() if not after]
+    assert len(terminals) == 1
+    assert label_isomorphic(states[terminals[0]], target)
+    return len(states)
 
 
 def kalman_rank_exact(m, b) -> int:

@@ -198,6 +198,14 @@ def test_infeasible_specs_name_the_constraint():
         build_g3_bar(12, 6, 3)  # tail would be shorter than one layer
 
 
+@pytest.mark.parametrize("shorthand", [build_g1, build_g1_bar])
+def test_g1_shorthands_take_d_from_the_spec(shorthand):
+    assert shorthand(12, 3) == shorthand(12, 3, 4)
+    with pytest.raises(InfeasibleSpecError, match=(
+            "requires n = n_leaders \\* d \\(got n=12, n_leaders=5, d=2, product 10\\)$")):
+        shorthand(12, 5)
+
+
 @given(st.integers(1, 6).flatmap(
     lambda k: st.tuples(st.just(k), st.lists(st.integers(0, k - 1), max_size=40))))
 def test_build_word_equals_its_listed_edges(k_word):

@@ -3,17 +3,26 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import re
 import time
-from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import applicable_matches_rescan, explore
+from oracles import applicable_matches_rescan, assert_every_schedule_ends_at, explore, state_key
 from zfnets import grammar
-from zfnets.constructions import build_g1_bar, build_g2_bar, build_g3_bar, expected_edges
+from zfnets.constructions import (
+    G1_BAR,
+    G2_BAR,
+    ConstructionSpec,
+    InfeasibleSpecError,
+    build_g1_bar,
+    build_g2_bar,
+    build_g3_bar,
+    expected_edges,
+)
 from zfnets.graph import LeaderSet
 from zfnets.grammar import (
     ALPHA,
@@ -68,14 +77,33 @@ def test_initial_state_shape():
 
 
 def test_grammar_parameter_validation():
-    with pytest.raises(ValueError):
-        grammar_r1(0, 4)
-    with pytest.raises(ValueError):
+    # R1's d >= 2 is its own check; every other message is its family spec's
+    with pytest.raises(ValueError, match="^need d = n/n_leaders >= 2 layers, got d=1$"):
         grammar_r1(3, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(InfeasibleSpecError, match="^need at least one leader, got n_leaders=0$"):
+        grammar_r1(0, 4)
+    with pytest.raises(InfeasibleSpecError, match="^family g2bar requires at least 2 leaders, got 1$"):
         grammar_r2(6, 1)
-    with pytest.raises(ValueError):
-        grammar_r2(3, 3)
+    for n, k in ((3, 3), (4, 3), (3, 2)):  # K3 and K4 are not g2bar
+        with pytest.raises(InfeasibleSpecError, match="^family g2bar requires at least 2 followers"):
+            grammar_r2(n, k)
+
+
+def test_grammar_rules_accept_what_their_family_spec_accepts():
+    def same_verdict(spec_args, make_rules, *args):
+        try:
+            ConstructionSpec(*spec_args)
+        except InfeasibleSpecError as exc:
+            with pytest.raises(InfeasibleSpecError, match=f"^{re.escape(str(exc))}$"):
+                make_rules(*args)
+        else:
+            assert make_rules(*args)
+
+    for k in range(-1, 6):
+        for d in (2, 3):  # R1 rejects d < 2 itself
+            same_verdict((G1_BAR, k * d, k, d), grammar_r1, k, d)
+        for n in range(-1, 9):
+            same_verdict((G2_BAR, n, k), grammar_r2, n, k)
 
 
 def test_initial_matches_are_all_seed_recruitments():
@@ -655,23 +683,35 @@ EXPLORED = [
 ]
 
 
-@pytest.mark.parametrize("n, make_rules, make_target, count", EXPLORED,
-                         ids=["r1-6-2-3", "r1-8-2-4", "r1-6-3-2", "r2-8-2", "r2-7-3"])
+EXPLORED_IDS = ["r1-6-2-3", "r1-8-2-4", "r1-6-3-2", "r2-8-2", "r2-7-3"]
+
+
+@pytest.mark.parametrize("n, make_rules, make_target, count", EXPLORED, ids=EXPLORED_IDS)
 def test_every_schedule_ends_at_the_target(n, make_rules, make_target, count):
     # not 100 seeds but every order of rule application: no schedule cycles,
     # deadlocks or stops anywhere but at the construction
-    successors, states = explore(n, make_rules())
-    assert len(states) == count
-    indegree = Counter(nxt for after in successors.values() for nxt in after)
-    ready = [key for key in successors if not indegree[key]]
-    ordered = 0
-    while ready:  # Kahn's algorithm orders every state iff the state graph is acyclic
-        ordered += 1
-        for nxt in successors[ready.pop()]:
-            indegree[nxt] -= 1
-            if not indegree[nxt]:
-                ready.append(nxt)
-    assert ordered == len(successors)
-    terminals = [key for key, after in successors.items() if not after]
-    assert len(terminals) == 1
-    assert label_isomorphic(states[terminals[0]], make_target())
+    assert assert_every_schedule_ends_at(n, make_rules(), make_target()) == count
+
+
+@pytest.mark.parametrize("n, make_rules, count", [
+    (n, make_rules, pairs) for (n, make_rules, _, _), pairs in zip(EXPLORED, (89, 695, 875, 174, 3056))
+], ids=EXPLORED_IDS)
+def test_disjoint_matches_commute(n, make_rules, count):
+    # every rule reads only its own labels and their edge, so two listed
+    # matches on disjoint nodes reach the same state in either order
+    rules = make_rules()
+
+    def step(state, match):
+        return replay(state, rules, Schedule(0, ((match.rule.name, match.nodes),)))
+
+    _, states = explore(n, rules)
+    pairs = 0
+    for state in states.values():
+        matches = applicable_matches_rescan(state, rules)
+        for i, first in enumerate(matches):
+            for second in matches[i + 1:]:
+                if set(first.nodes).isdisjoint(second.nodes):
+                    pairs += 1
+                    assert (state_key(step(step(state, first), second))
+                            == state_key(step(step(state, second), first)))
+    assert pairs == count
