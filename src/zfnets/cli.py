@@ -119,17 +119,16 @@ def cmd_construct(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
     leaders = LeaderSet(_parse_id_list(args.leaders))
-    zfs, unique, scan = _verify(g, leaders)
-    print(f"zfs: {'yes' if zfs else 'no'}")
+    unique, violations = _verify(g, leaders)
+    print(f"zfs: {'no' if violations is None else 'yes'}")
     print(f"unique-process: {'yes' if unique else 'no'}")
-    if scan is None:
+    if violations is None:
         print("maximal: n/a (leaders are not a zero forcing set)")
         return EXIT_VERIFICATION_FAILED
-    maximal, violations = scan
-    print(f"maximal: {'yes' if maximal else 'no'}")
+    print(f"maximal: {'no' if violations else 'yes'}")
     for u, v in violations:
         print(f"violation: {u} {v}")
-    return EXIT_OK if maximal else EXIT_VERIFICATION_FAILED
+    return EXIT_VERIFICATION_FAILED if violations else EXIT_OK
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
@@ -186,7 +185,7 @@ def cmd_grammar(args: argparse.Namespace) -> int:
         frames.mkdir(parents=True, exist_ok=True)
 
         def on_step(i: int, state: gram.LabeledGraph, match: gram.Match | None) -> None:
-            text = export_dot(state.graph, labels=state.label_texts())
+            text = export_dot(state.graph, labels=dict(enumerate(state.labels)))
             (frames / f"step_{i:04d}.dot").write_text(text)
 
         on_step(0, initial, None)
@@ -194,17 +193,14 @@ def cmd_grammar(args: argparse.Namespace) -> int:
         initial,
         rules,
         seed=args.seed,
-        prefer_phase="pi2" if args.prefer_pi2 else None,
+        prefer_phase=gram.PI2 if args.prefer_pi2 else None,
         on_step=on_step,
     )
     base = f"grammar_{args.rules}_n{n}_nl{k}_seed{args.seed}"
     prefix = _resolve_out(args.out, base)
     _write(_with_ext(prefix, ".trace"), schedule.to_text())
     leader_ids = LeaderSet(tuple(final.nodes_with_kind(gram.LEADER)))
-    _write(
-        _with_ext(prefix, ".dot"),
-        export_dot(final.graph, leader_ids, final.label_texts()),
-    )
+    _write(_with_ext(prefix, ".dot"), export_dot(final.graph, leader_ids, dict(enumerate(final.labels))))
     matches = gram.label_isomorphic(final, target)
     print(f"steps: {len(schedule.steps)}")
     print(f"edges: {final.graph.edge_count()}")

@@ -92,6 +92,8 @@ class ConstructionSpec:
             raise InfeasibleSpecError(
                 f"total nodes must be at least the leader count (n={n}, n_leaders={k})"
             )
+        if family in (G2_BAR, G3_BAR) and k < 2:
+            raise InfeasibleSpecError(f"family {family} requires at least 2 leaders, got {k}")
         if family in (G1, G1_BAR):
             if d is None:
                 d = n // k
@@ -104,10 +106,6 @@ class ConstructionSpec:
                     f"(got n={n}, n_leaders={k}, d={d}, product {k * d})"
                 )
         elif family == G2_BAR:
-            if k < 2:
-                raise InfeasibleSpecError(
-                    f"family g2bar requires at least 2 leaders, got {k}"
-                )
             if n - k < 2:
                 raise InfeasibleSpecError(
                     "family g2bar requires at least 2 followers "
@@ -121,10 +119,6 @@ class ConstructionSpec:
                     f"family g2bar has diameter 2 by construction; got d={d}"
                 )
         elif family == G3_BAR:
-            if k < 2:
-                raise InfeasibleSpecError(
-                    f"family g3bar requires at least 2 leaders, got {k}"
-                )
             if d is None:
                 raise InfeasibleSpecError("family g3bar requires a diameter d")
             if d < 2 or k * d > n:
@@ -194,12 +188,11 @@ class ConstructedNetwork:
 
 
 def expected_edges(n: int, n_leaders: int) -> int:
-    """Closed-form edge count k*(2n-k-1)/2 shared by all maximal families."""
+    """Closed-form edge count k*(2n-k-1)/2 shared by all maximal families;
+    k + (2n-k-1) is odd, so one factor is even."""
     if not n >= n_leaders >= 1:
         raise ValueError(f"need n >= n_leaders >= 1, got n={n}, n_leaders={n_leaders}")
-    product = n_leaders * (2 * n - n_leaders - 1)
-    assert product % 2 == 0, (n, n_leaders)
-    return product // 2
+    return n_leaders * (2 * n - n_leaders - 1) // 2
 
 
 def default_g3_diameter(n: int, n_leaders: int) -> int:

@@ -107,33 +107,20 @@ class Label(NamedTuple):
         return text
 
 
-class LabeledGraph:
-    """A graph plus one label per node."""
+class LabeledGraph(NamedTuple):
+    """A graph plus one label per node.  copy() checks the count, so a
+    state from outside is checked where run_to_fixpoint and replay take it."""
 
-    __slots__ = ("graph", "labels")
-
-    def __init__(self, graph: Graph, labels: list[Label]):
-        if len(labels) != graph.n:
-            raise ValueError("need exactly one label per node")
-        self.graph = graph
-        self.labels = labels
+    graph: Graph
+    labels: list[Label]
 
     def copy(self) -> "LabeledGraph":
+        if len(self.labels) != self.graph.n:
+            raise ValueError("need exactly one label per node")
         return LabeledGraph(self.graph.copy(), list(self.labels))
 
     def nodes_with_kind(self, kind: str) -> list[int]:
         return [v for v, lab in enumerate(self.labels) if lab.kind == kind]
-
-    def label_texts(self) -> dict[int, str]:
-        return {v: str(lab) for v, lab in enumerate(self.labels)}
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LabeledGraph):
-            return NotImplemented
-        return self.graph == other.graph and self.labels == other.labels
-
-    def __repr__(self) -> str:
-        return f"LabeledGraph(n={self.graph.n}, m={self.graph.edge_count()})"
 
 
 Guard = Callable[[Label, Optional[Label]], bool]
@@ -224,16 +211,15 @@ def _leader_rules(k: int) -> tuple[Rule, Rule, Rule]:
 
 
 def grammar_r1(n_leaders: int, d: int) -> list[Rule]:
-    """Rule set producing g1bar on n = n_leaders*d nodes, for d >= 2 layers."""
-    if d < 2:
-        raise ValueError(f"need d = n/n_leaders >= 2 layers, got d={d}")
+    """Rule set producing g1bar on n = n_leaders*d nodes.  With d = 1 no
+    chain has a layer to grow, so r2 is off and the leaders are K_k."""
     ConstructionSpec(G1_BAR, n_leaders * d, n_leaders, d)  # raises what g1bar rejects
     last = d - 1
     r0, r1, r5 = _leader_rules(n_leaders)
     return [
         r0, r1,
         Rule("r2", PI1, LEADER, ALPHA,
-             guard=lambda a, b: a.j is None,
+             guard=lambda a, b: a.j is None and last > 0,
              connect=True,
              relabel_left=lambda a, b: Label(LEADER, a.i, 0),
              relabel_right=lambda a, b: Label(GAMMA, a.i, 1)),

@@ -215,14 +215,6 @@ class LeaderSet:
         return v in self.ids
 
 
-def path_graph(n: int) -> Graph:
-    return Graph(n, ((i, i + 1) for i in range(n - 1)))
-
-
-def complete_graph(n: int) -> Graph:
-    return Graph(n, combinations(range(n), 2))
-
-
 def to_edge_list_text(g: Graph) -> str:
     """Serialize as one 'u v' line per edge, preceded by a '# n=<count>' header.
 
@@ -277,8 +269,9 @@ def from_edge_list_text(text: str) -> Graph:
 
 
 def export_dot(g: Graph, leaders: LeaderSet | None = None,
-               labels: dict[int, str] | None = None) -> str:
-    """Render as Graphviz source; leaders are drawn as filled boxes."""
+               labels: dict[int, object] | None = None) -> str:
+    """Render as Graphviz source; leaders are drawn as filled boxes, and a
+    node in labels is labelled str(labels[v])."""
     if leaders is not None:
         leaders.validate_for(g)
     out = ["graph G {"]

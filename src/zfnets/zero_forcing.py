@@ -5,11 +5,12 @@ A set whose closure is the whole vertex set is a zero forcing set (ZFS);
 for leader-follower consensus dynamics this is exactly strong structural
 controllability of the pair (graph, leaders).  derived_set, closure,
 is_unique_process and word_of (a graph's forcing word) each read one run
-of the engine _run, and _verify reads the ZFS, uniqueness and maximality
-verdicts off one run.  is_maximal_for_zfs answers from the edge bound
-kn - k(k+1)/2 when the graph meets it, and otherwise from the same run:
-per-node bitsets of the recorded forces that need each node black, and
-the forcing rule rerun on those bitsets, give every forcer's stalled set.
+of the engine _run, and _verify reads uniqueness and the addable edges
+(None when the leaders are not a ZFS) off one run.  is_maximal_for_zfs
+answers from the edge bound kn - k(k+1)/2 when the graph meets it, and
+otherwise from the same run: per-node bitsets of the recorded forces that
+need each node black, and the forcing rule rerun on those bitsets, give
+every forcer's stalled set.
 """
 from __future__ import annotations
 
@@ -34,10 +35,6 @@ class ForcingTrace:
     steps: tuple[tuple[int, int], ...]
     derived: frozenset[int]
 
-    def to_text(self) -> str:
-        """One 'FORCE forcer forced' line per step (golden-file friendly)."""
-        return "".join(f"FORCE {v} {u}\n" for v, u in self.steps)
-
 
 _ONE = bytes.maketrans(b"01", b"\0\1")
 
@@ -48,14 +45,6 @@ def _bits(mask: int) -> Iterator[int]:
     return compress(count(), bin(mask)[:1:-1].encode().translate(_ONE))
 
 
-def _as_black_set(g: Graph, black: Iterable[int]) -> set[int]:
-    s = set(black)
-    for v in s:
-        if not 0 <= v < g.n:
-            raise ValueError(f"black vertex {v} out of range for graph on {g.n} nodes")
-    return s
-
-
 def _run(g: Graph, black: Iterable[int]) -> tuple[ForcingTrace, bool]:
     """Force to exhaustion, smallest forcer id first; return (trace, unique).
 
@@ -64,7 +53,10 @@ def _run(g: Graph, black: Iterable[int]) -> tuple[ForcingTrace, bool]:
     entry goes stale when that neighbor turns black.  pending holds the nodes
     some forcer can force: the process is unique iff it never holds two.
     """
-    black_set = _as_black_set(g, black)
+    black_set = set(black)
+    for v in black_set:
+        if not 0 <= v < g.n:
+            raise ValueError(f"black vertex {v} out of range for graph on {g.n} nodes")
     initial = frozenset(black_set)
     nbrs = [g.neighbors(v) for v in range(g.n)]
     white = [len(a) - len(a & black_set) for a in nbrs]
@@ -202,26 +194,23 @@ def is_maximal_for_zfs(
     neighbor, completes R.  The run is needed: a black node that never
     forced may force into dep[w].
     """
-    scan = _verify(g, leaders)[2]
-    if scan is None:
+    violations = _verify(g, leaders)[1]
+    if violations is None:
         raise ValueError("leaders are not a zero forcing set of the given graph")
-    return scan
+    return not violations, violations
 
 
-def _verify(
-    g: Graph, leaders: LeaderSet
-) -> tuple[bool, bool, tuple[bool, list[tuple[int, int]]] | None]:
-    """is_zfs, is_unique_process and is_maximal_for_zfs from one forcing run.
-
-    The third item is None when the leaders are not a ZFS.
-    """
+def _verify(g: Graph, leaders: LeaderSet) -> tuple[bool, list[tuple[int, int]] | None]:
+    """(unique, violations) from one forcing run: is_unique_process, and
+    the non-edges is_maximal_for_zfs lists, or None when the leaders are
+    not a ZFS."""
     leaders.validate_for(g)
     trace, unique = _run(g, leaders)
     n, k = g.n, len(leaders)
     if len(trace.derived) != n:
-        return False, unique, None
+        return unique, None
     if g.edge_count() == expected_edges(n, k):
-        return True, unique, (True, [])
+        return unique, []
     nbrs = [g.neighbors(v) for v in range(n)]
     adj = [sum(1 << u for u in a) for a in nbrs]
     dep = [1 << v for v in range(n)]  # v and every node whose recorded force needs v black
@@ -249,4 +238,4 @@ def _verify(
     violations: list[tuple[int, int]] = []
     for u in range(n):  # row u: the v > u that are neither neighbors nor bad
         violations.extend(zip(repeat(u), _bits(~(adj[u] | bad[u]) & (1 << n) - (2 << u))))
-    return True, unique, (not violations, violations)
+    return unique, violations

@@ -1,5 +1,5 @@
-"""Shared helpers: the (N, N_L) parameter grids, random-graph generators and
-the leader paths of the g1 skeleton."""
+"""Shared helpers: the (N, N_L) parameter grids, the path and complete
+graphs, random-graph generators and the leader paths of the g1 skeleton."""
 from __future__ import annotations
 
 from itertools import combinations
@@ -34,6 +34,14 @@ def sweep_spec(family: str, n: int, k: int) -> ConstructionSpec:
     """The spec robustness.sweep builds at (n, k): g3bar at its midpoint
     diameter, every other family at the d its spec fills in."""
     return ConstructionSpec(family, n, k, default_g3_diameter(n, k) if family == G3_BAR else None)
+
+
+def path_graph(n: int) -> Graph:
+    return Graph(n, ((i, i + 1) for i in range(n - 1)))
+
+
+def complete_graph(n: int) -> Graph:
+    return Graph(n, combinations(range(n), 2))
 
 
 def random_connected_graph(rng: np.random.Generator, n: int, extra_edges: int) -> Graph:

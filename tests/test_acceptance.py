@@ -14,10 +14,12 @@ import numpy as np
 import pytest
 
 from conftest import (
+    complete_graph,
     g1_feasible,
     g2_feasible,
     g3_diameters,
     grid_points,
+    path_graph,
     random_connected_graph,
     random_graph,
 )
@@ -32,7 +34,7 @@ from zfnets.constructions import (
     default_g3_diameter,
     expected_edges,
 )
-from zfnets.graph import complete_graph, from_edge_list_text, path_graph, to_edge_list_text
+from zfnets.graph import from_edge_list_text, to_edge_list_text
 from zfnets.grammar import (
     PI2,
     grammar_r1,

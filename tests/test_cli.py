@@ -203,6 +203,23 @@ def test_construct_g3bar_without_diameter_exits_2(tmp_path, capsys):
     assert captured.out == "" and list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["construct", "--family", "g1bar", "--nodes", "12"], "construct needs --leaders (or --config)"),
+    (["construct", "--family", "g1bar", "--nodes", "12", "--leaders", "3", "--diameter", "0"],
+     "infeasible spec: diameter must be positive, got d=0"),
+    (["spectrum"], "need at least one node"),
+], ids=["no-leaders", "zero-diameter", "empty-graph"])
+def test_bad_input_exits_2_and_writes_nothing(tmp_path, capsys, argv, error):
+    empty = tmp_path / "empty.edges"
+    empty.write_text("")
+    where = ["--out", str(tmp_path / "x")] if argv[0] == "construct" else ["--graph", str(empty)]
+    code = main(argv + where)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {error}\n"
+    assert list(tmp_path.iterdir()) == [empty]
+
+
 def test_construct_honors_out_dir_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("ZFNETS_OUT_DIR", str(tmp_path))
     code, _ = run(capsys, "construct", "--family", "g2bar", "--nodes", "8",
@@ -449,7 +466,9 @@ def test_sweep_rejects_a_leader_count_above_nodes(tmp_path, capsys):
     # an empty family list is named, not blamed on the leader counts
     (["--families", "", "--nodes", "12", "--leaders", "3"], 0, "no values in ''"),
     (["--families", " , ", "--nodes", "12", "--leaders", "3"], 0, "no values in ' , '"),
-], ids=["13-14", "g1-7", "no-families", "blank-families"])
+    (["--nodes", "12", "--leaders", "5-3"], 0, "empty range '5-3'"),
+    (["--nodes", "12", "--leaders", ","], 0, "no values in ','"),
+], ids=["13-14", "g1-7", "no-families", "blank-families", "empty-range", "no-leaders"])
 def test_sweep_without_feasible_rows_writes_no_csv(tmp_path, capsys, argv, notes, error):
     out = tmp_path / "table.csv"
     code = main(["sweep", *argv, "--out", str(out)])
@@ -514,14 +533,14 @@ def test_grammar_without_diameter_writes_the_trace_of_its_fixed_d(tmp_path, caps
         assert (tmp_path / f"filled{ext}").read_bytes() == (tmp_path / f"given{ext}").read_bytes()
 
 
-def test_grammar_r1_with_one_layer_exits_2(tmp_path, capsys):
-    # n = k fills in d = 1, a shape whose chains have no layer to grow
+def test_grammar_r1_with_one_layer_builds_the_leader_clique(tmp_path, capsys):
+    # n = k fills in d = 1: no chain has a layer to grow, and g1bar is K4
     code = main(["grammar", "--rules", "r1", "--nodes", "4", "--leaders", "4",
                  "--out", str(tmp_path / "x")])
     captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err == "error: need d = n/n_leaders >= 2 layers, got d=1\n"
-    assert list(tmp_path.iterdir()) == []
+    assert code == 0 and captured.err == ""
+    # 3 recruitments (r0), the last seed turning leader (r1), 3 clique edges (r5)
+    assert captured.out.endswith("steps: 7\nedges: 6\nmatches construction: yes\n")
 
 
 def test_oracle_summary_and_csv(tmp_path, capsys):

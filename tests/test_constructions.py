@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import g1_feasible, g2_feasible, g3_diameters, grid_points
+from conftest import complete_graph, g1_feasible, g2_feasible, g3_diameters, grid_points, path_graph
 from oracles import edge_terms_g1, edge_terms_g2, vertex_connectivity, word_edges
 from zfnets.constructions import (
     FAMILIES,
@@ -23,7 +23,7 @@ from zfnets.constructions import (
     normalize_family,
     parse_construction_config,
 )
-from zfnets.graph import Graph, complete_graph, export_dot, path_graph, to_edge_list_text
+from zfnets.graph import Graph, export_dot, to_edge_list_text
 from zfnets.zero_forcing import is_zfs
 
 

@@ -53,7 +53,7 @@ def test_engine_matches_rescan_oracles(seed, n, p):
 def test_construction_traces_match_rescan(family, n, k):
     net = cons.build(sweep_spec(family, n, k))
     leaders = set(net.leaders)
-    assert derived_set(net.graph, leaders).to_text() == derived_set_rescan(net.graph, leaders).to_text()
+    assert derived_set(net.graph, leaders).steps == derived_set_rescan(net.graph, leaders).steps
     assert is_unique_process(net.graph, leaders) == is_unique_rescan(net.graph, leaders)
 
 

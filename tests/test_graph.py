@@ -8,16 +8,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import complete_graph, path_graph
 from oracles import bfs_distances
 from zfnets.constructions import ConstructionSpec, InfeasibleSpecError, build
 from zfnets.graph import (
     Graph,
     GraphDisconnectedError,
     LeaderSet,
-    complete_graph,
     export_dot,
     from_edge_list_text,
-    path_graph,
     to_edge_list_text,
 )
 
@@ -51,6 +50,8 @@ def test_add_edge_rejects_self_loops_and_bad_ids():
         g.add_edge(0, 2)
     with pytest.raises(ValueError):
         g.add_edge(-1, 0)
+    with pytest.raises(ValueError, match="^vertex count must be non-negative, got -1$"):
+        Graph(-1)
 
 
 def test_remove_edge():

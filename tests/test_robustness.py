@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_connected_graph, random_graph
+from conftest import complete_graph, path_graph, random_connected_graph, random_graph
 from oracles import JacobiNonConvergence, bisection_eigenvalues, jacobi_eigenvalues
 from zfnets.constructions import build_g1_bar, build_g2_bar, default_g3_diameter
-from zfnets.graph import Graph, complete_graph, path_graph
+from zfnets.graph import Graph
 from zfnets.robustness import (
     CSV_HEADER,
     SweepRow,

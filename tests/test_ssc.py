@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_connected_graph, sweep_spec
+from conftest import complete_graph, path_graph, random_connected_graph, sweep_spec
 from oracles import is_controllable_pair, kalman_rank_exact, kalman_rank_mod_p
 from zfnets import ssc
 from zfnets.constructions import (
@@ -21,7 +21,7 @@ from zfnets.constructions import (
     build_g3_bar,
     default_g3_diameter,
 )
-from zfnets.graph import Graph, LeaderSet, complete_graph, path_graph
+from zfnets.graph import Graph, LeaderSet
 from zfnets.ssc import (
     MAX_N,
     MAX_WEIGHT,

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cross_path_non_edges, random_graph, sweep_spec
+from conftest import complete_graph, cross_path_non_edges, path_graph, random_graph, sweep_spec
 from oracles import closure_bruteforce, forcing_candidates
 from zfnets import constructions as cons
 from zfnets import zero_forcing
 from zfnets.constructions import build_g1, build_g1_bar, build_g2_bar, build_g3_bar
-from zfnets.graph import Graph, LeaderSet, complete_graph, path_graph
+from zfnets.graph import Graph, LeaderSet
 from zfnets.zero_forcing import (
     ForcingTrace,
     closure,
@@ -48,6 +48,7 @@ def test_forcing_candidates_rejects_bad_ids():
 
 
 def test_derived_set_on_known_graphs():
+    assert derived_set(path_graph(3), {0}).steps == ((0, 1), (1, 2))
     assert derived_set(path_graph(4), {0}).derived == frozenset(range(4))
     assert derived_set(complete_graph(3), {0}).derived == frozenset({0})
     assert derived_set(complete_graph(3), {0, 1}).derived == frozenset(range(3))
@@ -61,17 +62,18 @@ def test_derived_set_trace_replays():
     assert {u for _, u in trace.steps} | trace.initial_black == trace.derived
 
 
-def test_trace_text_format():
-    trace = derived_set(path_graph(3), {0})
-    assert trace.to_text() == "FORCE 0 1\nFORCE 1 2\n"
-
-
 def test_validate_trace_rejects_corruption():
     g = path_graph(3)
     good = derived_set(g, {0})
     bad = ForcingTrace(good.initial_black, ((1, 2),) + good.steps[1:], good.derived)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^step 0: forcer 1 is not black$"):
         validate_trace(g, bad)
+    twice = ForcingTrace(frozenset({0, 1}), ((0, 1),), good.derived)
+    with pytest.raises(ValueError, match="^step 0: node 1 is already black$"):
+        validate_trace(g, twice)
+    middle = ForcingTrace(frozenset({1}), ((1, 0),), good.derived)
+    with pytest.raises(ValueError, match=r"^step 0: 1 cannot force 0 \(white neighbors \[0, 2\]\)$"):
+        validate_trace(g, middle)
     short = ForcingTrace(good.initial_black, good.steps[:1], good.derived)
     with pytest.raises(ValueError, match="derived"):
         validate_trace(g, short)
