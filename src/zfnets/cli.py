@@ -101,12 +101,11 @@ def cmd_construct(args: argparse.Namespace) -> int:
     net = cons.build(spec)
     base = f"{spec.family}_n{spec.n}_nl{spec.n_leaders}_d{spec.d}"
     prefix = _resolve_out(args.out, base)
-    fmt = args.format or "all"
-    if fmt in ("edgelist", "all"):
+    if args.format in ("edgelist", "all"):
         _write(_with_ext(prefix, ".edges"), to_edge_list_text(net.graph))
-    if fmt in ("dot", "all"):
+    if args.format in ("dot", "all"):
         _write(_with_ext(prefix, ".dot"), export_dot(net.graph, net.leaders, net.layout))
-    if fmt == "all":
+    if args.format == "all":
         layout_text = "".join(f"{v} {net.layout[v]}\n" for v in range(net.graph.n))
         _write(_with_ext(prefix, ".layout"), layout_text)
     print(
@@ -235,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--diameter", type=int, help="g3bar needs it; else N/leaders, or 2 for g2bar")
     p.add_argument("--config", help="key=value file with family, n, nl, d")
     p.add_argument("--out", help="output path prefix (default under ZFNETS_OUT_DIR)")
-    p.add_argument("--format", choices=("dot", "edgelist", "all"),
+    p.add_argument("--format", choices=("dot", "edgelist", "all"), default="all",
                    help="restrict outputs (default: edge list + DOT + layout)")
     p.set_defaults(func=cmd_construct)
 

@@ -15,13 +15,13 @@ Families (k leaders, n nodes total):
             pseudo-leader set of a G2_BAR-style tail.
 
 The three bar families meet the zero forcing edge bound kn - k(k+1)/2 and
-are built from forcing words by build_word: g1bar from (0..k-1)^(d-1),
-g2bar from 0^(n-k), g3bar from (0..k-1)^(d-2) 0^(n-k(d-1)) or, when
-d = n/k > 2, g1bar's word.  G1 has C(k, 2) + k(d-1) edges, below the
-bound.  build(spec) builds all four; they put the leaders at ids 0..k-1
-and use deterministic id layouts, so repeated builds are byte-for-byte
-identical.  In its layout g1bar is the k-th power of the path 0..n-1:
-u ~ v iff 1 <= |u - v| <= k.
+each is the graph of the forcing word (0..k-1)^L 0^(n-k(L+1)) (build_word):
+L complete layers, then a tail chained off slot 0.  L = d - 1 for g1bar and
+for g3bar at d = n/k > 2, else d - 2, so g2bar's word is 0^(n-k).  G1 has
+C(k, 2) + k(d-1) edges, below the bound.  build(spec) builds all four; they
+put the leaders at ids 0..k-1 and use deterministic id layouts, so repeated
+builds are byte-for-byte identical.  In its layout g1bar is the k-th power
+of the path 0..n-1: u ~ v iff 1 <= |u - v| <= k.
 """
 from __future__ import annotations
 
@@ -167,24 +167,21 @@ def parse_construction_config(text: str) -> ConstructionSpec:
 
 @dataclass(frozen=True)
 class ConstructedNetwork:
-    """A built graph with its leader set, measured diameter and per-node role
-    tags."""
+    """A built graph with its measured diameter and per-node role tags; its
+    leaders are ids 0..k-1."""
 
     spec: ConstructionSpec
     graph: Graph
-    leaders: LeaderSet
     diameter: int
     layout: dict[int, str] = field(compare=False)
-
-    def __post_init__(self):
-        if len(self.leaders) != self.spec.n_leaders:
-            raise ValueError("leader count does not match spec")
-        if sorted(self.layout) != list(range(self.graph.n)):
-            raise ValueError("layout must cover every node exactly once")
 
     @property
     def family(self) -> str:
         return self.spec.family
+
+    @property
+    def leaders(self) -> LeaderSet:
+        return LeaderSet(range(self.spec.n_leaders))
 
 
 def expected_edges(n: int, n_leaders: int) -> int:
@@ -200,16 +197,6 @@ def default_g3_diameter(n: int, n_leaders: int) -> int:
     k = n_leaders
     mid = -(-(2 * k + n) // (2 * k))  # ceil((2 + n/k) / 2) in integers
     return min(max(mid, 2), n // k)
-
-
-def _layered_layout(k: int, layers: int) -> dict[int, str]:
-    """Roles L1..Lk of the leaders and u_{i,j}, node j*k + i-1, of layers
-    j = 1..layers."""
-    layout = {i - 1: f"L{i}" for i in range(1, k + 1)}
-    for j in range(1, layers + 1):
-        for i in range(1, k + 1):
-            layout[j * k + i - 1] = f"u_{i},{j}"
-    return layout
 
 
 def build_word(k: int, word: Sequence[int]) -> Graph:
@@ -258,33 +245,31 @@ def build_word(k: int, word: Sequence[int]) -> Graph:
 def build(spec: ConstructionSpec) -> ConstructedNetwork:
     """The network of a validated spec; every family is built here.
 
-    g1 is the leader clique plus k paths.  The bar families are the forcing
-    words of the module docstring, and g2bar is g3bar's word at d = 2 with
-    its tail tagged u_ instead of v_.  The diameter is measured here, once
-    per build, and a g3bar build must measure its requested diameter.
+    The bar families are the word of the module docstring, g1 is the leader
+    clique plus k paths.  Leaders are tagged L<i>, node jk + i-1 of layer
+    j <= L is u_<i>,<j>, and tail node k(L+1) + m-1 is u_<m> in g2bar and
+    v_<m> in g3bar.  The diameter is measured here, once per build, and a
+    g3bar build must measure its requested diameter.
     """
     family, n, k, d = spec.family, spec.n, spec.n_leaders, spec.d
+    layers = d - 1 if k * d == n and (d > 2 or family in (G1, G1_BAR)) else d - 2
+    start = k * (layers + 1)
     if family == G1:
         g = Graph(n, combinations(range(k), 2))
         for c in range(k):  # chain c is c, c + k, ..., c + (d-1)k
             for v in range(c, n - k, k):
                 g.add_edge(v, v + k)
-        layout = _layered_layout(k, d - 1)
-    elif family == G1_BAR or (family == G3_BAR and d > 2 and k * d == n):
-        g = build_word(k, list(range(k)) * (d - 1))
-        layout = _layered_layout(k, d - 1)
     else:
-        start = k * (d - 1)
-        g = build_word(k, list(range(k)) * (d - 2) + [0] * (n - start))
-        layout = _layered_layout(k, d - 2)
-        tail = "u" if family == G2_BAR else "v"
-        layout.update({v: f"{tail}_{v - start + 1}" for v in range(start, n)})
+        g = build_word(k, list(range(k)) * layers + [0] * (n - start))
+    tail = "u" if family == G2_BAR else "v"
+    layout = {v: f"L{v + 1}" if v < k else f"u_{v % k + 1},{v // k}" if v < start
+              else f"{tail}_{v - start + 1}" for v in range(n)}
     measured = g.diameter()
     if family == G3_BAR and measured != d:
         raise ConstructionMismatchError(
             f"built {family} graph has diameter {measured}, expected {d}"
         )
-    return ConstructedNetwork(spec, g, LeaderSet(tuple(range(k))), measured, layout)
+    return ConstructedNetwork(spec, g, measured, layout)
 
 
 # Shorthands for build(ConstructionSpec(...)).

@@ -332,21 +332,17 @@ class _MatchIndex:
     """Listed bindings of every rule, kept current as one run rewrites.
 
     Per rule, `keys[r]` is one sorted list holding v * n + u for each
-    listed binding (v, u), or v * n + v for a listed one-node binding; as
-    u < n, key order is (v, u) order, the full scan's listing.  Nodes are
-    kept by kind and then by label in sorted lists (`kinds`).  Each side of
-    a two-node rule reads those groups through its buckets, join key ->
-    {label: group}, so a node's keys are built with one guard call per label
-    in the bucket its own label's key names.  A keyed side's buckets hold
-    the same group lists as `kinds` and change only when a group is created
-    or emptied; a side without a join has the one bucket None, the kind's
-    own label dict, so it reads every label of the kind.  A binding whose
-    reverse comes first with the same effect is left out by the two labels
-    alone (`_mirrored`), so a binding's listing reads only its pair, and
-    `apply` rewrites the state and updates only the keys the rewrite can
-    change (the module docstring has the argument).  Rule names must be
-    unique within the rule list; `_positions` checks that here and in
-    `replay`.
+    listed binding (v, u), or v * n + v for a listed one-node binding.
+    Nodes are kept by kind and then by label in sorted lists (`kinds`).
+    Each side of a two-node rule reads those groups through its buckets,
+    join key -> {label: group}, so a node's keys are built with one guard
+    call per label in the bucket its own label's key names.  A keyed side's
+    buckets hold the same group lists as `kinds` and change only when a
+    group is created or emptied; a side without a join has the one bucket
+    None, the kind's own label dict, so it reads every label of the kind.
+    The module docstring argues that the keys list a full scan's matches in
+    its order.  Rule names must be unique within the rule list; `_positions`
+    checks that here and in `replay`.
     """
 
     def __init__(self, state: LabeledGraph, rules: Iterable[Rule]):
@@ -484,12 +480,8 @@ class _MatchIndex:
             i -= len(self.keys[r])
 
     def apply(self, match: Match) -> None:
-        """Rewrite the state by a listed match and update the keys it can change.
-
-        A listed binding's nodes have its rule's kinds, so only the connect
-        rules over the new edge's pre-rewrite end kinds can list its keys,
-        and only the rules reading a relabelled node's old or new kind can
-        change with it."""
+        """Rewrite the state by a listed match and update the keys it can
+        change (the module docstring says which)."""
         state, n = self.state, self.n
         edge, relabels = effect = _match_effect(state, match.rule, match.nodes)
         if edge is not None:

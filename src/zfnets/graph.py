@@ -1,9 +1,8 @@
 """Simple undirected graphs on vertex set {0, ..., n-1}, plus leader bookkeeping."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
     import numpy as np
@@ -185,34 +184,29 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count()})"
 
 
-@dataclass(frozen=True)
-class LeaderSet:
-    """Distinguished input nodes, stored as a sorted, duplicate-free id tuple."""
+class LeaderSet(tuple):
+    """Distinguished input nodes: the sorted, duplicate-free tuple of their ids."""
 
-    ids: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.ids) == 0:
+    def __new__(cls, ids: Iterable[int]):
+        ids = tuple(ids)
+        if len(ids) == 0:
             raise ValueError("a leader set must contain at least one node")
-        if len(set(self.ids)) != len(self.ids):
-            raise ValueError(f"duplicate leader ids: {self.ids}")
-        if any(i < 0 for i in self.ids):
-            raise ValueError(f"negative leader id in {self.ids}")
-        object.__setattr__(self, "ids", tuple(sorted(self.ids)))
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"duplicate leader ids: {ids}")
+        if any(i < 0 for i in ids):
+            raise ValueError(f"negative leader id in {ids}")
+        return super().__new__(cls, sorted(ids))
+
+    @property
+    def ids(self) -> tuple[int, ...]:
+        return self
 
     def validate_for(self, g: Graph) -> None:
-        for i in self.ids:
+        for i in self:
             if i >= g.n:
                 raise ValueError(f"leader id {i} out of range for graph on {g.n} nodes")
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.ids)
-
-    def __contains__(self, v: int) -> bool:
-        return v in self.ids
 
 
 def to_edge_list_text(g: Graph) -> str:
@@ -234,7 +228,7 @@ def from_edge_list_text(text: str) -> Graph:
     an edge given twice, in either orientation, raises ValueError('line <k>: ...').
     """
     edges: list[tuple[int, int, int]] = []
-    n: int | None = None
+    g: Graph | None = None
     try:
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
@@ -243,11 +237,9 @@ def from_edge_list_text(text: str) -> Graph:
             if line.startswith("#"):
                 key, eq, value = line[1:].partition("=")
                 if eq and key.strip().lower() == "n":
-                    if n is not None:
+                    if g is not None:
                         raise ValueError(f"repeated '# n=' header (first on line {header_line})")
-                    n, header_line = int(value), lineno
-                    if n < 0:
-                        raise ValueError(f"vertex count must be non-negative, got {n}")
+                    g, header_line = Graph(int(value)), lineno
                 continue
             parts = line.split()
             if len(parts) != 2:
@@ -255,9 +247,8 @@ def from_edge_list_text(text: str) -> Graph:
             edges.append((int(parts[0]), int(parts[1]), lineno))
     except ValueError as exc:
         raise ValueError(f"line {lineno}: {exc}") from None
-    if n is None:
-        n = 1 + max((max(u, v) for u, v, _ in edges), default=-1)
-    g = Graph(n)
+    if g is None:
+        g = Graph(1 + max((max(u, v) for u, v, _ in edges), default=-1))
     try:
         for u, v, lineno in edges:
             if not g.add_edge(u, v):

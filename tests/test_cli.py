@@ -177,10 +177,12 @@ def test_construct_measures_the_diameter_once(tmp_path, capsys, monkeypatch):
 
 
 def test_construct_infeasible_exits_2(tmp_path, capsys):
-    code, _ = run(capsys, "construct", "--family", "g1bar", "--nodes", "13",
-                  "--leaders", "3", "--diameter", "4", "--out", str(tmp_path / "x"))
+    code = main(["construct", "--family", "g1bar", "--nodes", "13",
+                 "--leaders", "3", "--diameter", "4", "--out", str(tmp_path / "x")])
     assert code == 2
-    err = capsys.readouterr()  # message goes to stderr via the error path
+    assert capsys.readouterr().err == (
+        "error: infeasible spec: family g1bar requires n = n_leaders * d "
+        "(got n=13, n_leaders=3, d=4, product 12)\n")
     assert not (tmp_path / "x.edges").exists()
 
 

@@ -177,6 +177,7 @@ def test_construction_bytes_match_pinned_digest():
                         h.update(f"error {exc}\n".encode())
                         continue
                     feasible += 1
+                    assert net.leaders == tuple(range(k))
                     layout = "".join(f"{v} {net.layout[v]}\n" for v in range(n))
                     for text in (to_edge_list_text(net.graph), layout,
                                  export_dot(net.graph, net.leaders, net.layout)):

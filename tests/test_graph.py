@@ -271,16 +271,19 @@ def test_export_dot_empty_edge_graph():
 
 
 def test_leader_set_validation():
-    assert LeaderSet((2, 0, 1)).ids == (0, 1, 2)
-    with pytest.raises(ValueError):
+    leaders = LeaderSet((2, 0, 1))
+    assert leaders == (0, 1, 2) and leaders.ids == (0, 1, 2)  # the sorted tuple it wraps
+    assert hash(leaders) == hash((0, 1, 2)) and list(leaders) == [0, 1, 2]
+    assert LeaderSet(range(3)) == leaders and LeaderSet([1, 0]) == (0, 1)
+    with pytest.raises(ValueError, match=r"^a leader set must contain at least one node$"):
         LeaderSet(())
-    with pytest.raises(ValueError):
-        LeaderSet((1, 1))
-    with pytest.raises(ValueError):
-        LeaderSet((-1,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^duplicate leader ids: \(1, 0, 1\)$"):
+        LeaderSet((1, 0, 1))
+    with pytest.raises(ValueError, match=r"^negative leader id in \(2, -1\)$"):
+        LeaderSet((2, -1))
+    with pytest.raises(ValueError, match=r"^leader id 5 out of range for graph on 3 nodes$"):
         LeaderSet((5,)).validate_for(Graph(3))
-    assert 1 in LeaderSet((0, 1))
+    assert 1 in LeaderSet((0, 1)) and 2 not in LeaderSet((0, 1))
     assert len(LeaderSet((0, 1))) == 2
 
 
