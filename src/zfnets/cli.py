@@ -198,7 +198,7 @@ def cmd_grammar(args: argparse.Namespace) -> int:
     base = f"grammar_{args.rules}_n{n}_nl{k}_seed{args.seed}"
     prefix = _resolve_out(args.out, base)
     _write(_with_ext(prefix, ".trace"), schedule.to_text())
-    leader_ids = LeaderSet(tuple(final.nodes_with_kind(gram.LEADER)))
+    leader_ids = LeaderSet(final.nodes_with_kind(gram.LEADER))
     _write(_with_ext(prefix, ".dot"), export_dot(final.graph, leader_ids, dict(enumerate(final.labels))))
     matches = gram.label_isomorphic(final, target)
     print(f"steps: {len(schedule.steps)}")

@@ -14,22 +14,23 @@ Families (k leaders, n nodes total):
             [2, n/k]: a G1_BAR-style prefix whose last layer acts as the
             pseudo-leader set of a G2_BAR-style tail.
 
-The three bar families meet the zero forcing edge bound kn - k(k+1)/2 and
-each is the graph of the forcing word (0..k-1)^L 0^(n-k(L+1)) (build_word):
-L complete layers, then a tail chained off slot 0.  L = d - 1 for g1bar and
-for g3bar at d = n/k > 2, else d - 2, so g2bar's word is 0^(n-k).  G1 has
-C(k, 2) + k(d-1) edges, below the bound.  build(spec) builds all four; they
-put the leaders at ids 0..k-1 and use deterministic id layouts, so repeated
-builds are byte-for-byte identical.  In its layout g1bar is the k-th power
-of the path 0..n-1: u ~ v iff 1 <= |u - v| <= k.
+Each bar family is the graph build_word(k, word) of a forcing word, so it
+is maximal, at the edge bound kn - k(k+1)/2, by the theorem in the
+zero_forcing docstring.  The word is (0..k-1)^L 0^(n-k(L+1)): L complete
+layers, then a tail chained off slot 0.  L = d - 1 for g1bar and for g3bar
+at d = n/k > 2, else d - 2, so g2bar's word is 0^(n-k).  G1 has C(k, 2) +
+k(d-1) edges, below the bound.  build(spec) builds all four; they put the
+leaders at ids 0..k-1 and use deterministic id layouts, so repeated builds
+are byte-for-byte identical.  In its layout g1bar is the k-th power of the
+path 0..n-1: u ~ v iff 1 <= |u - v| <= k.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Sequence
 
 from .graph import Graph, LeaderSet
+from .zero_forcing import build_word
 
 G1 = "g1"
 G1_BAR = "g1bar"
@@ -184,62 +185,11 @@ class ConstructedNetwork:
         return LeaderSet(range(self.spec.n_leaders))
 
 
-def expected_edges(n: int, n_leaders: int) -> int:
-    """Closed-form edge count k*(2n-k-1)/2 shared by all maximal families;
-    k + (2n-k-1) is odd, so one factor is even."""
-    if not n >= n_leaders >= 1:
-        raise ValueError(f"need n >= n_leaders >= 1, got n={n}, n_leaders={n_leaders}")
-    return n_leaders * (2 * n - n_leaders - 1) // 2
-
-
 def default_g3_diameter(n: int, n_leaders: int) -> int:
     """Midpoint of the feasible diameter range [2, n/k], rounded up."""
     k = n_leaders
     mid = -(-(2 * k + n) // (2 * k))  # ceil((2 + n/k) / 2) in integers
     return min(max(mid, 2), n // k)
-
-
-def build_word(k: int, word: Sequence[int]) -> Graph:
-    """The graph of a forcing word; the ZFS graphs at the edge bound are these.
-
-    Nodes 0..k-1 form a clique and fill the active list A.  Node k+t is
-    joined to every node of A and then replaces A[word[t]], the node that
-    forces it.  The last symbol of a word never changes the graph.
-
-    Every word gives a maximal ZFS graph.  It has C(k, 2) + k*len(word) =
-    kn - k(k+1)/2 edges, the bound proved in is_maximal_for_zfs.  A node
-    stays in A from the step that adds it until the step that replaces it,
-    so its neighbours above its own id are the nodes added in that span.
-    Let 0..v-1 be black.  A black node with a white neighbour w > v was in
-    A when w was added, so also when v was, and v is a second white
-    neighbour: every available force hits v.  The node v replaces has v as
-    its only neighbour above v-1, so it forces v.  The leaders force the
-    graph in id order, and at the bound no edge can be added.
-
-    Every ZFS graph G at the bound has a word.  The bound proof counts at
-    most C(k, 2) leader edges, and for each follower y at most k earlier
-    neighbours, all of them chain ends when y turns black.  At the bound
-    both counts are exact: the leaders form a clique, and y is joined to
-    exactly the k chain ends of that moment.  When x forces y, y replaces x
-    among the chain ends.  Number the leaders 0..k-1 and the followers in
-    the order they turn black, and let word[t] be the slot of the chain end
-    that forces follower k+t.  Then the chain ends are A at every step, and
-    build_word(k, word) is G under that numbering.
-    """
-    g = Graph(k + len(word))
-    adj = g._adj  # every edge below is new and in range, so add_edge's checks are skipped
-    active = list(range(k))
-    for a in active:
-        adj[a].update(active)
-        adj[a].discard(a)
-    for v, slot in enumerate(word, start=k):
-        if not 0 <= slot < k:
-            raise ValueError(f"word symbol {slot} is not a slot in 0..{k - 1}")
-        adj[v].update(active)
-        for a in active:
-            adj[a].add(v)
-        active[slot] = v
-    return g
 
 
 def build(spec: ConstructionSpec) -> ConstructedNetwork:

@@ -643,4 +643,4 @@ def label_isomorphic(state: LabeledGraph, target: ConstructedNetwork) -> bool:
     if len(leaders) != len(target.leaders):
         return False
     word = word_of(state.graph, leaders)
-    return word is not None and word == word_of(target.graph, target.leaders.ids)
+    return word is not None and word == word_of(target.graph, target.leaders)

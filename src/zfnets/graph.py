@@ -199,10 +199,6 @@ class LeaderSet(tuple):
             raise ValueError(f"negative leader id in {ids}")
         return super().__new__(cls, sorted(ids))
 
-    @property
-    def ids(self) -> tuple[int, ...]:
-        return self
-
     def validate_for(self, g: Graph) -> None:
         for i in self:
             if i >= g.n:

@@ -121,7 +121,7 @@ def sample_realization(g: Graph, leaders: LeaderSet, seed: int) -> SystemRealiza
     _check_size(g.n)
     m = np.zeros((1, g.n, g.n), dtype=np.int64)
     _realize(m, [seed], *np.array(g.edges(), dtype=np.intp).reshape(-1, 2).T)
-    b = (np.arange(g.n)[:, None] == np.array(leaders.ids)).astype(np.int64)
+    b = (np.arange(g.n)[:, None] == np.array(leaders)).astype(np.int64)
     return SystemRealization(m[0], b, seed)
 
 
@@ -289,7 +289,7 @@ def randomized_ssc_check(
     n, (u, v) = g.n, np.array(g.edges(), dtype=np.intp).reshape(-1, 2).T
     seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=trials).tolist()
     batch = min(trials, max(1, _BATCH_ELEMENTS // max(1, n * n)))
-    bt = np.broadcast_to(np.arange(n) == np.array(leaders.ids)[:, None], (batch, len(leaders), n))
+    bt = np.broadcast_to(np.arange(n) == np.array(leaders)[:, None], (batch, len(leaders), n))
     ranks: list[int] = []
     for start in range(0, trials, batch):
         chunk = seeds[start:start + batch]

@@ -1,16 +1,50 @@
-"""Zero forcing: one engine for closure, traces and uniqueness; maximality.
+"""Zero forcing: the forcing engine, maximality, the edge bound and words.
 
 A black node with exactly one white neighbor forces that neighbor black.
 A set whose closure is the whole vertex set is a zero forcing set (ZFS);
 for leader-follower consensus dynamics this is exactly strong structural
 controllability of the pair (graph, leaders).  derived_set, closure,
-is_unique_process and word_of (a graph's forcing word) each read one run
-of the engine _run, and _verify reads uniqueness and the addable edges
-(None when the leaders are not a ZFS) off one run.  is_maximal_for_zfs
-answers from the edge bound kn - k(k+1)/2 when the graph meets it, and
-otherwise from the same run: per-node bitsets of the recorded forces that
-need each node black, and the forcing rule rerun on those bitsets, give
-every forcer's stalled set.
+is_unique_process and word_of each read one run of the engine _run, and
+_verify reads uniqueness and the addable edges (None when the leaders are
+not a ZFS) off one run.  is_maximal_for_zfs answers from the edge bound
+when the graph meets it, and otherwise from the same run: per-node bitsets
+of the recorded forces that need each node black, and the forcing rule
+rerun on those bitsets, give every forcer's stalled set.
+
+Theorem.  A ZFS graph with k leaders has at most expected_edges(n, k)
+edges; the maximal ones, at the bound, are the graphs build_word(k, word).
+
+Edge bound.  Number the nodes in the order they turn black, leaders first,
+and let t(u) be the node u forces (n if none).  A node that has forced has
+no white neighbor from then on, so when v turns black its earlier
+neighbors are chain ends, the black nodes that have not forced yet.  There
+are always k of them, as each force retires one and adds one.  Counting
+each edge at its later endpoint, plus at most C(k, 2) edges among the
+leaders, gives |E| <= kn - k(k+1)/2.  Each edge short of that count leaves
+a consistent non-edge uv, u < v <= t(u): two leaders, or v and a chain end
+u other than v's forcer.  Adding it keeps every recorded step legal, as v
+is black when u forces and u when v does.  So the maximal ZFS graphs are
+those at the bound.
+
+Every word graph is at the bound, with C(k, 2) + k*len(word) edges, and
+its leaders force it in id order.  A node stays in build_word's active
+list A from the step that adds it until the step that replaces it, so its
+neighbours above its own id are the nodes added in that span.  Let 0..v-1
+be black.  A black node with a white neighbour w > v was in A when w was
+added, so also when v was, and v is a second white neighbour: every
+available force hits v.  The node v replaces has v as its only neighbour
+above v-1, so it forces v.
+
+Every ZFS graph G at the bound is a word graph.  At the bound both counts
+of the bound proof are exact: the leaders form a clique, and each follower
+y is joined to exactly the k chain ends of the moment it turns black.
+When x forces y, y replaces x among the chain ends.  Number the leaders
+0..k-1 and the followers in the order they turn black, and let word[t] be
+the slot of the chain end that forces follower k+t.  Then the chain ends
+are A at every step, and build_word(k, word) is G under that numbering.
+word_of reads the word off the forcing run and sets its last symbol to 0:
+only the last force may have two forcers, and the last symbol never
+changes the graph.
 """
 from __future__ import annotations
 
@@ -19,7 +53,6 @@ from heapq import heappop, heappush
 from itertools import compress, count, repeat
 from typing import Iterable, Iterator, Sequence
 
-from .constructions import expected_edges
 from .graph import Graph, LeaderSet
 
 
@@ -92,13 +125,42 @@ def derived_set(g: Graph, black: Iterable[int]) -> ForcingTrace:
     return _run(g, black)[0]
 
 
+def expected_edges(n: int, n_leaders: int) -> int:
+    """The edge bound k*(2n-k-1)/2 of the module docstring, met by every
+    maximal family; k + (2n-k-1) is odd, so one factor is even."""
+    if not n >= n_leaders >= 1:
+        raise ValueError(f"need n >= n_leaders >= 1, got n={n}, n_leaders={n_leaders}")
+    return n_leaders * (2 * n - n_leaders - 1) // 2
+
+
+def build_word(k: int, word: Sequence[int]) -> Graph:
+    """The graph of a forcing word, a maximal ZFS graph (module docstring).
+
+    Nodes 0..k-1 form a clique and fill the active list A.  Node k+t is
+    joined to every node of A and then replaces A[word[t]], the node that
+    forces it.  The last symbol of a word never changes the graph.
+    """
+    g = Graph(k + len(word))
+    adj = g._adj  # every edge below is new and in range, so add_edge's checks are skipped
+    active = list(range(k))
+    for a in active:
+        adj[a].update(active)
+        adj[a].discard(a)
+    for v, slot in enumerate(word, start=k):
+        if not 0 <= slot < k:
+            raise ValueError(f"word symbol {slot} is not a slot in 0..{k - 1}")
+        adj[v].update(active)
+        for a in active:
+            adj[a].add(v)
+        active[slot] = v
+    return g
+
+
 def word_of(g: Graph, leaders: Sequence[int]) -> list[int] | None:
-    """The forcing word of g, leader leaders[i] in slot i: build_word(k,
-    word) is g with the followers numbered as they turn black, as the
-    constructions.build_word docstring proves.  None when the leaders are
-    not a ZFS of g or g is below the edge bound.  Only the last force may
-    have two forcers, and the last symbol never changes the graph, so it is
-    0.  Repeated leader ids raise ValueError."""
+    """The forcing word of g, leader leaders[i] in slot i, last symbol 0:
+    build_word(k, word) is g with the followers numbered as they turn black
+    (see the module docstring).  None when the leaders are not a ZFS of g or
+    g is below the edge bound.  Repeated leader ids raise ValueError."""
     if len(set(leaders)) != len(leaders):
         raise ValueError(f"repeated leader ids in {list(leaders)}")
     trace = derived_set(g, leaders)
@@ -158,20 +220,8 @@ def is_maximal_for_zfs(
     Returns (maximal, violations) where violations lists every non-edge whose
     addition would preserve the ZFS property, in lexicographic order.  Raises
     ValueError when the leaders are not a ZFS of g in the first place.  One
-    forcing run of g answers every non-edge.
-
-    Edge bound.  Number the nodes in the order they turn black, leaders
-    first, and let t(u) be the node u forces (n if none).  A node that has
-    forced has no white neighbor from then on, so when v turns black its
-    earlier neighbors are chain ends, the black nodes that have not forced
-    yet.  There are always k of them, as each force retires one and adds
-    one.  Counting each edge at its later endpoint, plus at most C(k, 2)
-    edges among the leaders, gives |E| <= kn - k(k+1)/2.  Each edge short of
-    that count leaves a consistent non-edge uv, u < v <= t(u): two leaders,
-    or v and a chain end u other than v's forcer.  Adding it keeps every
-    recorded step legal, as v is black when u forces and u when v does.  So
-    the maximal ZFS graphs are exactly the graphs at the bound, which
-    constructions.build_word builds, and at the bound the answer is O(m).
+    forcing run of g answers every non-edge, and at the edge bound, where
+    the module docstring proves none addable, the answer is O(m).
 
     Below the bound.  Adding uv changes only the white counts of u and v, so
     the recorded steps stay legal in G + uv up to the first one whose forcer

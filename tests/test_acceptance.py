@@ -32,7 +32,6 @@ from zfnets.constructions import (
     build_g3_bar,
     ConstructionSpec,
     default_g3_diameter,
-    expected_edges,
 )
 from zfnets.graph import from_edge_list_text, to_edge_list_text
 from zfnets.grammar import (
@@ -49,6 +48,7 @@ from zfnets.ssc import randomized_ssc_check
 from zfnets.zero_forcing import (
     closure,
     derived_set,
+    expected_edges,
     is_maximal_for_zfs,
     is_zfs,
     validate_trace,

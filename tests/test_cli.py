@@ -673,9 +673,14 @@ def test_commands_without_linear_algebra_import_no_numpy(tmp_path, argv):
     assert proc.stdout.splitlines()[-1] == "False 0"
 
 
-def test_package_import_is_lazy():
-    code = ("import sys, zfnets; "
+@pytest.mark.parametrize("module, loaded", [
+    ("zfnets", []),
+    # the forcing word and the edge bound live here, so the certifier needs no builder
+    ("zfnets.zero_forcing", ["zfnets.graph", "zfnets.zero_forcing"]),
+], ids=["zfnets", "zfnets.zero_forcing"])
+def test_package_import_is_lazy(module, loaded):
+    code = (f"import sys, {module}; "
             "print(sorted(m for m in sys.modules if m.startswith('zfnets.')), 'numpy' in sys.modules)")
     proc = run_child(code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[] False\n"
+    assert proc.stdout == f"{loaded} False\n"

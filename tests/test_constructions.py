@@ -18,13 +18,11 @@ from zfnets.constructions import (
     build_g1_bar,
     build_g2_bar,
     build_g3_bar,
-    build_word,
-    expected_edges,
     normalize_family,
     parse_construction_config,
 )
 from zfnets.graph import Graph, export_dot, to_edge_list_text
-from zfnets.zero_forcing import is_zfs
+from zfnets.zero_forcing import build_word, expected_edges, is_zfs
 
 
 def test_family_constants_and_aliases():

@@ -28,7 +28,7 @@ from oracles import (
 from zfnets import constructions as cons
 from zfnets import zero_forcing
 from zfnets.graph import Graph, LeaderSet
-from zfnets.zero_forcing import closure, derived_set, is_maximal_for_zfs, is_unique_process
+from zfnets.zero_forcing import build_word, closure, derived_set, is_maximal_for_zfs, is_unique_process
 
 
 @given(st.integers(0, 2**31 - 1), st.integers(0, 13), st.floats(0.0, 1.0))
@@ -231,7 +231,7 @@ def test_zfs_edge_bound(seed, n, p):
             word.append(ends.index(x))
             ends[word[-1]] = y
         new_id = {v: i for i, v in enumerate(sorted(leaders) + [u for _, u in trace.steps])}
-        assert cons.build_word(k, word) == Graph(n, ((new_id[u], new_id[v]) for u, v in g.edges()))
+        assert build_word(k, word) == Graph(n, ((new_id[u], new_id[v]) for u, v in g.edges()))
 
 
 @st.composite
@@ -244,7 +244,7 @@ def forcing_words(draw):
 @settings(max_examples=100, deadline=None)
 def test_every_forcing_word_builds_a_maximal_zfs_graph(k_word):
     k, word = k_word
-    g = cons.build_word(k, word)
+    g = build_word(k, word)
     n = g.n
     leaders = LeaderSet(tuple(range(k)))
     assert tuple(u for _, u in derived_set(g, leaders).steps) == tuple(range(k, n))
@@ -253,7 +253,7 @@ def test_every_forcing_word_builds_a_maximal_zfs_graph(k_word):
     if n <= 12:
         assert addable_edges_exhaustive(g, set(leaders)) == []
     if word:
-        assert cons.build_word(k, word[:-1] + [0]) == g
+        assert build_word(k, word[:-1] + [0]) == g
 
 
 def test_constructions_have_no_addable_edge_by_exhaustive_scan():

@@ -21,7 +21,6 @@ from zfnets.constructions import (
     build_g1_bar,
     build_g2_bar,
     build_g3_bar,
-    expected_edges,
 )
 from zfnets.graph import LeaderSet
 from zfnets.grammar import (
@@ -45,7 +44,7 @@ from zfnets.grammar import (
     run_to_fixpoint,
 )
 from zfnets.graph import Graph
-from zfnets.zero_forcing import is_zfs
+from zfnets.zero_forcing import expected_edges, is_zfs
 
 
 def test_labels_are_values():

@@ -272,7 +272,7 @@ def test_export_dot_empty_edge_graph():
 
 def test_leader_set_validation():
     leaders = LeaderSet((2, 0, 1))
-    assert leaders == (0, 1, 2) and leaders.ids == (0, 1, 2)  # the sorted tuple it wraps
+    assert leaders == (0, 1, 2)  # the sorted tuple it wraps
     assert hash(leaders) == hash((0, 1, 2)) and list(leaders) == [0, 1, 2]
     assert LeaderSet(range(3)) == leaders and LeaderSet([1, 0]) == (0, 1)
     with pytest.raises(ValueError, match=r"^a leader set must contain at least one node$"):

@@ -16,6 +16,7 @@ from zfnets.constructions import build_g1, build_g1_bar, build_g2_bar, build_g3_
 from zfnets.graph import Graph, LeaderSet
 from zfnets.zero_forcing import (
     ForcingTrace,
+    build_word,
     closure,
     derived_set,
     is_maximal_for_zfs,
@@ -213,7 +214,7 @@ def test_word_of_reads_back_a_relabelled_word(data):
     word = data.draw(st.lists(st.integers(0, k - 1), max_size=40))
     n = k + len(word)
     perm = data.draw(st.permutations(range(n)))
-    g = Graph(n, [(perm[u], perm[v]) for u, v in cons.build_word(k, word).edges()])
+    g = Graph(n, [(perm[u], perm[v]) for u, v in build_word(k, word).edges()])
     # the last symbol never changes the graph, so word_of reads it as 0
     assert word_of(g, [perm[i] for i in range(k)]) == (word[:-1] + [0] if word else [])
 
@@ -242,7 +243,7 @@ def test_word_of_every_family_build_is_its_documented_word():
                         expected = documented_word(family, n, k, net.spec.d)
                     if expected:
                         expected[-1] = 0
-                    assert word_of(net.graph, net.leaders.ids) == expected, (family, n, k, d)
+                    assert word_of(net.graph, net.leaders) == expected, (family, n, k, d)
     assert checked == 727
 
 
