@@ -18,6 +18,7 @@ from . import robustness as rob
 from .graph import (
     Graph,
     LeaderSet,
+    NonConvergenceError,
     export_dot,
     from_edge_list_text,
     to_edge_list_text,
@@ -296,7 +297,7 @@ def main(argv: list[str] | None = None) -> int:
     except cons.ConstructionMismatchError as exc:
         print(f"error: construction self-check failed: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION_FAILED
-    except (rob.ConvergenceError, gram.NonConvergenceError) as exc:
+    except NonConvergenceError as exc:
         print(f"error: did not converge: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
     except (ValueError, OSError, MemoryError) as exc:

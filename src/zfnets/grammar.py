@@ -67,7 +67,7 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, NamedTuple, Optional
 
 from .constructions import G1_BAR, G2_BAR, ConstructedNetwork, ConstructionSpec
-from .graph import Graph
+from .graph import Graph, NonConvergenceError
 from .zero_forcing import word_of
 
 ALPHA = "alpha"
@@ -78,10 +78,6 @@ GAMMA = "gamma"
 
 PI1 = "pi1"
 PI2 = "pi2"
-
-
-class NonConvergenceError(RuntimeError):
-    """A run exceeded its step budget or left pre-final labels behind."""
 
 
 class Label(NamedTuple):

@@ -12,6 +12,10 @@ class GraphDisconnectedError(ValueError):
     """Raised when an operation needs a connected graph and the graph is not."""
 
 
+class NonConvergenceError(RuntimeError):
+    """An eigensolver failed, or a grammar run ran out of steps or left pre-final labels."""
+
+
 class Graph:
     """Undirected simple graph backed by adjacency sets.
 
@@ -220,8 +224,9 @@ def from_edge_list_text(text: str) -> Graph:
 
     Blank lines are skipped.  A '# n=<count>' header, n in either case and
     spaces around n and the count, fixes the vertex count, else it is max
-    id + 1; other comments are ignored.  A bad line, a negative count, a second header or
-    an edge given twice, in either orientation, raises ValueError('line <k>: ...').
+    id + 1, never below 0; other comments are ignored.  A bad line, a
+    negative count or id, a second header or an edge given twice, in either
+    orientation, raises ValueError('line <k>: ...').
     """
     edges: list[tuple[int, int, int]] = []
     g: Graph | None = None
@@ -241,11 +246,8 @@ def from_edge_list_text(text: str) -> Graph:
             if len(parts) != 2:
                 raise ValueError(f"expected 'u v', got {raw!r}")
             edges.append((int(parts[0]), int(parts[1]), lineno))
-    except ValueError as exc:
-        raise ValueError(f"line {lineno}: {exc}") from None
-    if g is None:
-        g = Graph(1 + max((max(u, v) for u, v, _ in edges), default=-1))
-    try:
+        if g is None:
+            g = Graph(max(0, 1 + max((max(u, v) for u, v, _ in edges), default=-1)))
         for u, v, lineno in edges:
             if not g.add_edge(u, v):
                 first = next(j for a, b, j in edges if {a, b} == {u, v})

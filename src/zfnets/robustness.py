@@ -12,11 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import constructions as cons
-from .graph import Graph
-
-
-class ConvergenceError(RuntimeError):
-    """The eigensolver failed to converge on a Laplacian."""
+from .graph import Graph, NonConvergenceError
 
 
 @dataclass(frozen=True)
@@ -37,7 +33,7 @@ def spectrum(g: Graph) -> SpectrumReport:
     as exactly 0.0, not the LAPACK value, which may be a tiny positive
     number; eigenvalues stay as LAPACK gives them.  The one-node graph is
     trivially connected; its lambda2 is reported as +inf so that "lambda2 > 0
-    iff connected" holds uniformly.  Raises ConvergenceError if LAPACK does
+    iff connected" holds uniformly.  Raises NonConvergenceError if LAPACK does
     not converge.
     """
     import numpy as np
@@ -47,7 +43,7 @@ def spectrum(g: Graph) -> SpectrumReport:
     try:
         ev = np.linalg.eigvalsh(g.laplacian())
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"Laplacian eigensolver failed: {exc}") from exc
+        raise NonConvergenceError(f"Laplacian eigensolver failed: {exc}") from exc
     if g.n == 1:
         return SpectrumReport((float(ev[0]),), math.inf, 0.0, 1)
     if g.is_connected():

@@ -330,8 +330,11 @@ def test_spectrum_solver_failure_exits_4(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
     path = write_graph(tmp_path, build_g2_bar(12, 3).graph)
-    code, text = run(capsys, "spectrum", "--graph", str(path))
-    assert code == 4 and "lambda2" not in text
+    code = main(["spectrum", "--graph", str(path)])
+    captured = capsys.readouterr()
+    assert code == 4 and "lambda2" not in captured.out
+    assert captured.err == ("error: did not converge: "
+                            "Laplacian eigensolver failed: Eigenvalues did not converge\n")
 
 
 def test_sweep_writes_csv(tmp_path, capsys):

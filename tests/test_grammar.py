@@ -533,7 +533,8 @@ def _random_labeled_graph(rng, n: int) -> LabeledGraph:
 # nodes without joining them, so its reverse binding is new after it; and
 # `hop`, a keyed rule whose join is its whole condition and whose relabels
 # move both nodes to other join keys, creating and emptying label groups
-# and so buckets.
+# and so buckets; and rules that relabel both nodes of one kind, whose
+# reverse binding has the same effect in `meet` and never does in `lead`.
 EDGE_CASE_RULES = [
     Rule("bump", PI1, BETA, ALPHA, guard=lambda a, b: a.i < 4,
          relabel_left=lambda a, b: Label(BETA, a.i + 1), relabel_right=lambda a, b: b),
@@ -553,6 +554,11 @@ EDGE_CASE_RULES = [
     Rule("hop", PI2, GAMMA, BETA, join=(lambda a: a.i + 1, lambda b: b.i),
          relabel_left=lambda a, b: Label(GAMMA, b.i, a.j),
          relabel_right=lambda a, b: Label(BETA, a.i, b.j)),
+    Rule("meet", PI2, BETA, BETA, guard=lambda a, b: a.i != b.i,
+         relabel_left=lambda a, b: Label(GAMMA, a.i + b.i),
+         relabel_right=lambda a, b: Label(GAMMA, a.i + b.i)),
+    Rule("lead", PI2, GAMMA, GAMMA, guard=lambda a, b: a.i < 3,
+         relabel_left=lambda a, b: Label(BETA, b.i), relabel_right=lambda a, b: Label(BETA, 3)),
 ]
 
 

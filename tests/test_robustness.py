@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import complete_graph, path_graph, random_connected_graph, random_graph
 from oracles import JacobiNonConvergence, bisection_eigenvalues, jacobi_eigenvalues
 from zfnets.constructions import build_g1_bar, build_g2_bar, default_g3_diameter
-from zfnets.graph import Graph
+from zfnets.graph import Graph, NonConvergenceError
 from zfnets.robustness import (
     CSV_HEADER,
     SweepRow,
@@ -124,6 +124,16 @@ def test_spectrum_edge_cases():
     # LAPACK can put a split graph's second eigenvalue a hair above zero
     split = spectrum(Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)]))
     assert split.lambda2 == 0.0 and split.kirchhoff == math.inf
+
+
+def test_spectrum_solver_failure_raises_nonconvergence(monkeypatch):
+    def fail(_a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(NonConvergenceError) as info:
+        spectrum(path_graph(4))
+    assert str(info.value) == "Laplacian eigensolver failed: Eigenvalues did not converge"
 
 
 @pytest.mark.parametrize("n, k", [(12, 2), (12, 3), (60, 4), (120, 8), (240, 4), (240, 6)])
