@@ -13,8 +13,6 @@ import sys
 from pathlib import Path
 
 from . import constructions as cons
-from . import grammar as gram
-from . import robustness as rob
 from .graph import (
     Graph,
     LeaderSet,
@@ -132,6 +130,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
+    from . import robustness as rob
+
     g = _read_graph(args.graph)
     report = rob.spectrum(g)
     print(f"n: {report.n}")
@@ -144,6 +144,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from . import robustness as rob
+
     if args.nodes < 1:
         raise ValueError(f"--nodes must be at least 1, got {args.nodes}")
     families = [cons.normalize_family(f) for f in args.families.split(",") if f.strip()]
@@ -164,19 +166,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# --rules name -> (the family its fixpoint must match, its rules for that spec)
-GRAMMARS = {
-    "r1": (cons.G1_BAR, lambda spec: gram.grammar_r1(spec.n_leaders, spec.d)),
-    "r2": (cons.G2_BAR, lambda spec: gram.grammar_r2(spec.n, spec.n_leaders)),
-}
+# --rules name -> the family its fixpoint must match
+GRAMMARS = {"r1": cons.G1_BAR, "r2": cons.G2_BAR}
 
 
 def cmd_grammar(args: argparse.Namespace) -> int:
+    from . import grammar as gram
+
     n, k = args.nodes, args.leaders
-    family, make_rules = GRAMMARS[args.rules]
     # Built first: ConstructionSpec rejects any infeasible shape (also d != 2 for r2).
-    target = cons.build(cons.ConstructionSpec(family, n, k, args.diameter))
-    rules = make_rules(target.spec)
+    target = cons.build(cons.ConstructionSpec(GRAMMARS[args.rules], n, k, args.diameter))
+    rules = gram.grammar_r1(k, target.spec.d) if args.rules == "r1" else gram.grammar_r2(n, k)
 
     initial = gram.initial_state(n)
     on_step = None
@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     p = sub.add_parser("construct", help="build a network family and write its files")
-    p.add_argument("--family", choices=cons.FAMILIES, help="network family")
+    p.add_argument("--family", help=f"network family: {', '.join(cons.FAMILIES)}")
     p.add_argument("--nodes", type=int, help="total node count N")
     p.add_argument("--leaders", type=int, help="leader count")
     p.add_argument("--diameter", type=int, help="g3bar needs it; else N/leaders, or 2 for g2bar")

@@ -26,8 +26,9 @@ path 0..n-1: u ~ v iff 1 <= |u - v| <= k.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import combinations
+from typing import NamedTuple
 
 from .graph import Graph, LeaderSet
 from .zero_forcing import build_word
@@ -68,9 +69,8 @@ def normalize_family(name: str) -> str:
     return _FAMILY_ALIASES[key]
 
 
-@dataclass(frozen=True)
-class ConstructionSpec:
-    """Validated parameters for one network build.
+class ConstructionSpec(namedtuple("ConstructionSpec", "family n n_leaders d")):
+    """Validated parameters for one network build, a tuple as LeaderSet is.
 
     d is asked for only where it is a choice: g3bar requires it.  Where n
     and k fix it, an omitted d is filled in: n // k layers for g1/g1bar
@@ -78,15 +78,10 @@ class ConstructionSpec:
     supplied d must agree, and g1/g1bar reject a k that does not divide n.
     """
 
-    family: str
-    n: int
-    n_leaders: int
-    d: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        family = normalize_family(self.family)
-        object.__setattr__(self, "family", family)
-        n, k, d = self.n, self.n_leaders, self.d
+    def __new__(cls, family: str, n: int, n_leaders: int, d: int | None = None):
+        family, k = normalize_family(family), n_leaders
         if k < 1:
             raise InfeasibleSpecError(f"need at least one leader, got n_leaders={k}")
         if n < k:
@@ -96,9 +91,7 @@ class ConstructionSpec:
         if family in (G2_BAR, G3_BAR) and k < 2:
             raise InfeasibleSpecError(f"family {family} requires at least 2 leaders, got {k}")
         if family in (G1, G1_BAR):
-            if d is None:
-                d = n // k
-                object.__setattr__(self, "d", d)
+            d = n // k if d is None else d
             if d < 1:
                 raise InfeasibleSpecError(f"diameter must be positive, got d={d}")
             if n != k * d:
@@ -114,7 +107,7 @@ class ConstructionSpec:
                     "and its diameter drops below 2"
                 )
             if d is None:
-                object.__setattr__(self, "d", 2)
+                d = 2
             elif d != 2:
                 raise InfeasibleSpecError(
                     f"family g2bar has diameter 2 by construction; got d={d}"
@@ -127,6 +120,7 @@ class ConstructionSpec:
                     f"family g3bar requires 2 <= d <= n/n_leaders "
                     f"(got d={d}, n/n_leaders = {n}/{k})"
                 )
+        return super().__new__(cls, family, n, k, d)
 
 
 def parse_construction_config(text: str) -> ConstructionSpec:
@@ -166,15 +160,14 @@ def parse_construction_config(text: str) -> ConstructionSpec:
     return ConstructionSpec(family=family, n=n, n_leaders=k, d=d)
 
 
-@dataclass(frozen=True)
-class ConstructedNetwork:
+class ConstructedNetwork(NamedTuple):
     """A built graph with its measured diameter and per-node role tags; its
     leaders are ids 0..k-1."""
 
     spec: ConstructionSpec
     graph: Graph
     diameter: int
-    layout: dict[int, str] = field(compare=False)
+    layout: dict[int, str]
 
     @property
     def family(self) -> str:

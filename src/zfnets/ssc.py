@@ -18,6 +18,9 @@ leaders "uncontrollable" is exact over GF(PRIME).  The weights are uniform
 there, so if some realization of the pattern is controllable over GF(PRIME),
 a trial is falsely uncontrollable over Q with probability at most
 n(n-1)/(PRIME-1), the degree bound of a Kalman minor (Schwartz, J. ACM 1980).
+With a free diagonal the generic rank is the size of the leaders' components
+(Lin, IEEE TAC 19(3), 1974), so a tally speaks for almost every realization;
+only verify's ZFS verdict speaks for all (Mayeda & Yamada, SICON 17(1), 1979).
 
 The rank is exact in float64 BLAS (Dumas, Giorgi & Pernet, ACM TOMS 35(3),
 2008).  Residues r have |r| <= 2**24 - 16, so 32 products plus a residue stay

@@ -48,16 +48,14 @@ changes the graph.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import compress, count, repeat
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .graph import Graph, LeaderSet
 
 
-@dataclass(frozen=True)
-class ForcingTrace:
+class ForcingTrace(NamedTuple):
     """A full record of one forcing process.
 
     steps is the chronological (forcer, forced) sequence; derived is the

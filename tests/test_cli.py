@@ -196,6 +196,16 @@ def test_construct_names_the_filled_in_d_in_its_default_file_names(tmp_path, cap
     assert text.endswith("family=g1 n=12 leaders=3 edges=12 diameter=7\n")
 
 
+def test_construct_accepts_a_family_alias(tmp_path, capsys, monkeypatch):
+    # ConstructionSpec judges the name, as it does for --config and sweep --families
+    monkeypatch.setenv("ZFNETS_OUT_DIR", str(tmp_path))
+    code, text = run(capsys, "construct", "--family", "g2", "--nodes", "12", "--leaders", "3")
+    assert code == 0
+    assert text.splitlines()[-1] == "family=g2bar n=12 leaders=3 edges=30 diameter=2"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "g2bar_n12_nl3_d2.dot", "g2bar_n12_nl3_d2.edges", "g2bar_n12_nl3_d2.layout"]
+
+
 def test_construct_g3bar_without_diameter_exits_2(tmp_path, capsys):
     code = main(["construct", "--family", "g3bar", "--nodes", "240", "--leaders", "4",
                  "--out", str(tmp_path / "x")])
@@ -209,8 +219,10 @@ def test_construct_g3bar_without_diameter_exits_2(tmp_path, capsys):
     (["construct", "--family", "g1bar", "--nodes", "12"], "construct needs --leaders (or --config)"),
     (["construct", "--family", "g1bar", "--nodes", "12", "--leaders", "3", "--diameter", "0"],
      "infeasible spec: diameter must be positive, got d=0"),
+    (["construct", "--family", "g9", "--nodes", "12", "--leaders", "3"],
+     "infeasible spec: unknown family 'g9'; expected one of g1, g1bar, g2bar, g3bar"),
     (["spectrum"], "need at least one node"),
-], ids=["no-leaders", "zero-diameter", "empty-graph"])
+], ids=["no-leaders", "zero-diameter", "unknown-family", "empty-graph"])
 def test_bad_input_exits_2_and_writes_nothing(tmp_path, capsys, argv, error):
     empty = tmp_path / "empty.edges"
     empty.write_text("")
@@ -680,10 +692,13 @@ def test_commands_without_linear_algebra_import_no_numpy(tmp_path, argv):
     ("zfnets", []),
     # the forcing word and the edge bound live here, so the certifier needs no builder
     ("zfnets.zero_forcing", ["zfnets.graph", "zfnets.zero_forcing"]),
-], ids=["zfnets", "zfnets.zero_forcing"])
+    # grammar, robustness and ssc load inside the subcommands that run them
+    ("zfnets.cli", ["zfnets.cli", "zfnets.constructions", "zfnets.graph", "zfnets.zero_forcing"]),
+], ids=["zfnets", "zfnets.zero_forcing", "zfnets.cli"])
 def test_package_import_is_lazy(module, loaded):
     code = (f"import sys, {module}; "
-            "print(sorted(m for m in sys.modules if m.startswith('zfnets.')), 'numpy' in sys.modules)")
+            "print(sorted(m for m in sys.modules if m.startswith('zfnets.')), "
+            "'numpy' in sys.modules, 'dataclasses' in sys.modules)")
     proc = run_child(code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == f"{loaded} False\n"
+    assert proc.stdout == f"{loaded} False False\n"

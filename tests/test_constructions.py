@@ -267,6 +267,13 @@ def test_spec_validation_and_dispatch():
     assert build(ConstructionSpec("g2bar", 12, 3, None)).graph.diameter() == 2
 
 
+def test_spec_is_the_tuple_of_its_fields():
+    spec = ConstructionSpec("g2", 12, 3)
+    assert spec == ("g2bar", 12, 3, 2)
+    assert ConstructionSpec(family="g2", n=12, n_leaders=3, d=None) == spec
+    assert repr(spec) == "ConstructionSpec(family='g2bar', n=12, n_leaders=3, d=2)"
+
+
 @pytest.mark.parametrize("family, d", [("g1", 4), ("g1bar", 4), ("g2bar", 2)])
 def test_spec_fills_in_the_diameter_that_n_and_k_fix(family, d):
     spec = ConstructionSpec(family, 12, 3)

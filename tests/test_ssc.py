@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complete_graph, path_graph, random_connected_graph, sweep_spec
+from conftest import complete_graph, path_graph, random_connected_graph, random_graph, sweep_spec
 from oracles import is_controllable_pair, kalman_rank_exact, kalman_rank_mod_p
 from zfnets import ssc
 from zfnets.constructions import (
@@ -36,6 +36,7 @@ from zfnets.ssc import (
     randomized_ssc_check,
     sample_realization,
 )
+from zfnets.zero_forcing import closure
 
 
 def test_sample_realization_structure():
@@ -132,6 +133,30 @@ def test_randomized_check_flags_deficient_leaderings():
     # but random weights still make almost every realization controllable
     report = randomized_ssc_check(complete_graph(3), LeaderSet((0,)), trials=20, seed=5)
     assert report.pass_count + report.fail_count + report.indeterminate_count == 20
+
+
+def test_every_trial_has_the_generic_rank():
+    # With a free diagonal every node has a self-loop, so the generic Kalman
+    # rank is the number of nodes in components that hold a leader (Lin,
+    # IEEE TAC 19(3), 1974).  A trial falls below it with probability at most
+    # n(n-1)/(PRIME-1), so the seeds are fixed.  Only a ZFS speaks for every
+    # realization, and in most of these cases the derived set is smaller.
+    rng = np.random.default_rng(16)
+    below = 0
+    for case in range(300):
+        n = int(rng.integers(1, 15))
+        g = random_graph(rng, n, float(rng.uniform(0.1, 0.6)))
+        size = int(rng.integers(1, max(1, n // 3) + 1))
+        leaders = LeaderSet(rng.choice(n, size=size, replace=False).tolist())
+        reached, stack = set(leaders), list(leaders)
+        while stack:
+            new = g.neighbors(stack.pop()) - reached
+            reached |= new
+            stack += new
+        report = randomized_ssc_check(g, leaders, trials=3, seed=case)
+        assert [r.rank for r in report.records] == [len(reached)] * 3, (case, g.edges(), leaders)
+        below += len(closure(g, leaders)) < len(reached)
+    assert below > 100
 
 
 def test_report_is_deterministic_and_serializable():

@@ -61,6 +61,7 @@ def test_derived_set_trace_replays():
     validate_trace(g, trace)
     assert trace.initial_black == frozenset({0, 1, 2})
     assert {u for _, u in trace.steps} | trace.initial_black == trace.derived
+    assert trace == (trace.initial_black, trace.steps, trace.derived)
 
 
 def test_validate_trace_rejects_corruption():
