@@ -70,7 +70,8 @@ def normalize_family(name: str) -> str:
 
 
 class ConstructionSpec(namedtuple("ConstructionSpec", "family n n_leaders d")):
-    """Validated parameters for one network build, a tuple as LeaderSet is.
+    """Validated parameters for one network build, a tuple as LeaderSet is;
+    `_replace` validates its result too.
 
     d is asked for only where it is a choice: g3bar requires it.  Where n
     and k fix it, an omitted d is filled in: n // k layers for g1/g1bar
@@ -121,6 +122,11 @@ class ConstructionSpec(namedtuple("ConstructionSpec", "family n n_leaders d")):
                     f"(got d={d}, n/n_leaders = {n}/{k})"
                 )
         return super().__new__(cls, family, n, k, d)
+
+    @classmethod
+    def _make(cls, iterable) -> "ConstructionSpec":
+        """Build through __new__, so `_replace` checks the spec too."""
+        return cls(*iterable)
 
 
 def parse_construction_config(text: str) -> ConstructionSpec:

@@ -7,8 +7,8 @@ the diameter-2 family (leader clique, one follower chain off the first
 leader, full leader fan-out).  Rules are data: a pair of label patterns, an
 index guard, and an action, so the rule tables are readable in one place and
 the engine stays generic.  A one-node rule relabels its node; a two-node rule
-connects its pair, relabels both nodes, or does both.  `Rule` rejects any
-other shape when it is built.
+connects its pair, relabels both nodes, or does both.  `Rule` is a tuple
+that rejects any other shape when it is built, by `_replace` too.
 
 Every rule is pairwise, as in the graph grammars of Klavins, Ghrist &
 Lipsky (IEEE TAC 51(6), 2006): it reads its two labels and whether they
@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable, Hashable, Iterable, NamedTuple, Optional
 
 from .constructions import G1_BAR, G2_BAR, ConstructedNetwork, ConstructionSpec
@@ -124,9 +124,9 @@ Relabel = Callable[[Label, Optional[Label]], Label]
 JoinKey = Callable[[Label], Hashable]
 
 
-@dataclass(frozen=True)
-class Rule:
-    """One rewrite rule.
+class Rule(namedtuple("Rule", "name phase left right guard connect relabel_left"
+                              " relabel_right join")):
+    """One rewrite rule, a tuple whose constructor checks its shape.
 
     Binds one node of kind `left` (and, if `right` is set, a second node of
     that kind); `guard` sees both labels.  The action adds the edge between
@@ -134,7 +134,8 @@ class Rule:
     A rule sees only its pair: the two labels and whether they share an
     edge, never a neighbourhood.  A one-node rule must set only
     `relabel_left`; a two-node rule must connect or set both relabels, so
-    its effect names both nodes.  Other shapes raise ValueError.
+    its effect names both nodes.  Other shapes raise ValueError, from
+    `_replace` as well.
 
     `join = (left_key, right_key)`, on a two-node rule only, is part of its
     condition: a binding labelled (a, b) passes only when `left_key(a) ==
@@ -143,35 +144,34 @@ class Rule:
     equals the bound label's; without a join it reads the whole kind.
     """
 
-    name: str
-    phase: str
-    left: str
-    right: str | None = None
-    guard: Guard = lambda a, b: True
-    connect: bool = False
-    relabel_left: Relabel | None = None
-    relabel_right: Relabel | None = None
-    join: tuple[JoinKey, JoinKey] | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.right is None:
-            if (self.relabel_left is None or self.connect
-                    or self.relabel_right is not None or self.join is not None):
-                raise ValueError(f"rule {self.name!r}: a one-node rule must set relabel_left"
+    def __new__(cls, name: str, phase: str, left: str, right: str | None = None,
+                guard: Guard = lambda a, b: True, connect: bool = False,
+                relabel_left: Relabel | None = None, relabel_right: Relabel | None = None,
+                join: tuple[JoinKey, JoinKey] | None = None):
+        if right is None:
+            if relabel_left is None or connect or relabel_right is not None or join is not None:
+                raise ValueError(f"rule {name!r}: a one-node rule must set relabel_left"
                                  " and none of connect, relabel_right and join")
-        elif not self.connect and None in (self.relabel_left, self.relabel_right):
-            raise ValueError(f"rule {self.name!r}: a two-node rule must connect its pair"
+        elif not connect and None in (relabel_left, relabel_right):
+            raise ValueError(f"rule {name!r}: a two-node rule must connect its pair"
                              " or relabel both nodes")
+        return super().__new__(cls, name, phase, left, right, guard, connect,
+                               relabel_left, relabel_right, join)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "Rule":
+        """Build through __new__, so `_replace` checks the shape too."""
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Match:
+class Match(NamedTuple):
     rule: Rule
     nodes: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(NamedTuple):
     """Reproducible record of one run: the seed and the applied steps."""
 
     seed: int

@@ -694,7 +694,10 @@ def test_commands_without_linear_algebra_import_no_numpy(tmp_path, argv):
     ("zfnets.zero_forcing", ["zfnets.graph", "zfnets.zero_forcing"]),
     # grammar, robustness and ssc load inside the subcommands that run them
     ("zfnets.cli", ["zfnets.cli", "zfnets.constructions", "zfnets.graph", "zfnets.zero_forcing"]),
-], ids=["zfnets", "zfnets.zero_forcing", "zfnets.cli"])
+    # the grammar subcommand's engine: its records are tuples, not dataclasses
+    ("zfnets.grammar", ["zfnets.constructions", "zfnets.grammar", "zfnets.graph",
+                        "zfnets.zero_forcing"]),
+], ids=["zfnets", "zfnets.zero_forcing", "zfnets.cli", "zfnets.grammar"])
 def test_package_import_is_lazy(module, loaded):
     code = (f"import sys, {module}; "
             "print(sorted(m for m in sys.modules if m.startswith('zfnets.')), "

@@ -274,6 +274,18 @@ def test_spec_is_the_tuple_of_its_fields():
     assert repr(spec) == "ConstructionSpec(family='g2bar', n=12, n_leaders=3, d=2)"
 
 
+def test_replacing_a_spec_field_validates_the_result():
+    spec = ConstructionSpec("g1bar", 12, 3)
+    with pytest.raises(InfeasibleSpecError, match=(
+            "^family g1bar requires n = n_leaders \\* d "
+            "\\(got n=13, n_leaders=3, d=4, product 12\\)$")):
+        spec._replace(n=13)
+    wider = spec._replace(n=15, d=5)
+    assert type(wider) is ConstructionSpec and wider == ("g1bar", 15, 3, 5)
+    # the replaced fields go through the constructor, which fills in d again
+    assert spec._replace(family="g2", d=None) == ("g2bar", 12, 3, 2)
+
+
 @pytest.mark.parametrize("family, d", [("g1", 4), ("g1bar", 4), ("g2bar", 2)])
 def test_spec_fills_in_the_diameter_that_n_and_k_fix(family, d):
     spec = ConstructionSpec(family, 12, 3)

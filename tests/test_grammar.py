@@ -1,7 +1,6 @@
 """Distributed rewrite grammars: matching, scheduling, convergence targets."""
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import re
 import time
@@ -203,7 +202,7 @@ def grammar_r2_narrow(n: int, n_leaders: int) -> list[Rule]:
     """R2 with the paper's literal same-subscript r6: leader i > 1 fans out
     only to the chain node of the same index."""
     *rules, r6 = grammar_r2(n, n_leaders)
-    return [*rules, dataclasses.replace(r6, guard=lambda a, b: a.i != 1 and b.i == a.i)]
+    return [*rules, r6._replace(guard=lambda a, b: a.i != 1 and b.i == a.i)]
 
 
 def test_narrow_fanout_variant_underbuilds():
@@ -256,7 +255,7 @@ def test_replacing_a_rule_into_a_rejected_shape_raises():
                          ("r6", dict(connect=False)),
                          ("r3", dict(connect=False, relabel_right=None))):
         with pytest.raises(ValueError, match=f"^rule '{name}': "):
-            dataclasses.replace(rules[name], **change)
+            rules[name]._replace(**change)
 
 
 def test_duplicate_rule_names_are_rejected():
@@ -459,7 +458,7 @@ def test_r1_makes_a_few_guard_calls_per_step():
         def guard(a, b):
             calls.append(rule.name)
             return rule.guard(a, b)
-        return rule if rule.right is None else dataclasses.replace(rule, guard=guard)
+        return rule if rule.right is None else rule._replace(guard=guard)
 
     rules = [counted(rule) for rule in grammar_r1(4, 60)]
     _, schedule = run_to_fixpoint(initial_state(240), rules, seed=7)

@@ -36,7 +36,7 @@ from zfnets.ssc import (
     randomized_ssc_check,
     sample_realization,
 )
-from zfnets.zero_forcing import closure
+from zfnets.zero_forcing import closure, is_zfs
 
 
 def test_sample_realization_structure():
@@ -129,10 +129,13 @@ def test_randomized_check_on_constructions():
 
 
 def test_randomized_check_flags_deficient_leaderings():
-    # a single leader on K3 cannot force the other two symmetric nodes,
-    # but random weights still make almost every realization controllable
+    # A single leader on K3 is no ZFS: it cannot force the other two
+    # symmetric nodes.  The trials tally the generic rank, not a worst-case
+    # verdict (ROADMAP item 19): random weights make every one of them
+    # controllable, so the sampled check cannot flag this leader set.
+    assert not is_zfs(complete_graph(3), LeaderSet((0,)))
     report = randomized_ssc_check(complete_graph(3), LeaderSet((0,)), trials=20, seed=5)
-    assert report.pass_count + report.fail_count + report.indeterminate_count == 20
+    assert report.pass_count == 20
 
 
 def test_every_trial_has_the_generic_rank():
