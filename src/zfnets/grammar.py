@@ -35,15 +35,17 @@ its own pair.  A rewrite adds at most the edge ab and relabels at most a
 and b, so a listing can change only for
 - a binding that holds a relabelled node;
 - the binding (a, b) or (b, a) of a connect rule, whose edge now exists.
-The index drops the new edge's two keys, takes each relabelled node out of
-the bindings whose join and guard admit its old label and puts it into
-those that admit its new one (one that admits neither was not listed and is
-not), then rebuilds the node's own keys.  A listed binding's nodes have its
-rule's kinds, so only the connect rules over the edge's pre-rewrite end
-kinds, and only the rules that read a relabelled node's old or new kind,
-are visited.  So the keys list the same matches in the same order as a full
-scan, and a seed gives the same schedule whichever way the matches are
-found.
+The index drops the new edge's two keys from the connect rules over the
+edge's pre-rewrite end kinds; a rewrite that relabels nothing ends there.
+It takes each relabelled node out of the bindings whose join and guard
+admit its old label and puts it into those that admit its new one (one that
+admits neither was not listed and is not), then rebuilds the node's own
+keys.  A listed binding's nodes have its rule's kinds, so a relabelled node
+is the second node of a binding only in the rules whose right kind is its
+old or new kind, and the first only in those whose left kind is: only
+those rules' partner edits and rows are visited.  So the keys list the same
+matches in the same order as a full scan, and a seed gives the same
+schedule whichever way the matches are found.
 
 A two-node rule may name a join key per side, `join = (left_key,
 right_key)`, as part of its condition: a binding labelled (a, b) passes
@@ -292,10 +294,14 @@ def _passes(rule: Rule, la: Label, lb: Label | None = None) -> bool:
 def _binding_ok(state: LabeledGraph, rule: Rule, nodes: tuple[int, ...]) -> bool:
     """Whether `rule` applies to `nodes`, a binding from anywhere: distinct
     ids of the graph, as many as it binds, whose labels pass it, unjoined."""
-    return (len(nodes) == (1 if rule.right is None else 2) == len(set(nodes))
-            and all(0 <= v < state.graph.n for v in nodes)
-            and _passes(rule, *(state.labels[v] for v in nodes))
-            and not (rule.connect and nodes[1] in state.graph.neighbors(nodes[0])))
+    n, labels = state.graph.n, state.labels
+    if rule.right is None:
+        return len(nodes) == 1 and 0 <= nodes[0] < n and _passes(rule, labels[nodes[0]])
+    if len(nodes) != 2:
+        return False
+    v, u = nodes
+    return (v != u and 0 <= v < n and 0 <= u < n and _passes(rule, labels[v], labels[u])
+            and not (rule.connect and u in state.graph.neighbors(v)))
 
 
 def _positions(rules: list[Rule]) -> dict[str, int]:
@@ -336,6 +342,8 @@ class _MatchIndex:
     buckets hold the same group lists as `kinds` and change only when a
     group is created or emptied; a side without a join has the one bucket
     None, the kind's own label dict, so it reads every label of the kind.
+    `pools` and `every` hold the lists of `keys` themselves, so every edit
+    of a key list is made in place.
     The module docstring argues that the keys list a full scan's matches in
     its order.  Rule names must be unique within the rule list; `_positions`
     checks that here and in `replay`.
@@ -345,30 +353,39 @@ class _MatchIndex:
         self.state = state
         self.rules = list(rules)
         _positions(self.rules)
-        self.n = n = state.graph.n
+        self.n = state.graph.n
         self.kinds: dict[str, dict[Label, list[int]]] = {
             kind: {} for rule in self.rules for kind in (rule.left, rule.right) if kind}
+        ids: dict[str, list[int]] = {}
         for v, lab in enumerate(state.labels):
             self.kinds.setdefault(lab.kind, {}).setdefault(lab, []).append(v)
+            ids.setdefault(lab.kind, []).append(v)
         # kind -> (join key, buckets) of every keyed rule side of that kind
         self.keyed: dict[str, list[tuple[JoinKey, dict]]] = {}
         # per two-node rule: (left key, left buckets, right key, right buckets)
         self.sides: list[tuple | None] = []
-        # kind -> rules reading it; the kinds of a new edge's ends -> connect rules
-        self.reading: dict[str, list[int]] = {}
-        self.joining: dict[frozenset, list[int]] = {}
-        self.pools: dict[str, list[int]] = {}
+        # kind -> rules whose left, or right, kind it is
+        self.lefts: dict[str, list[int]] = {}
+        self.rights: dict[str, list[int]] = {}
+        # the kinds of a new edge's ends, in either order -> connect rules over them
+        self.joining: dict[tuple[str, str], list[int]] = {}
+        phases: dict[str, list[int]] = {}
         for r, rule in enumerate(self.rules):
-            self.pools.setdefault(rule.phase, []).append(r)
-            for kind in {rule.left, rule.right} - {None}:
-                self.reading.setdefault(kind, []).append(r)
+            phases.setdefault(rule.phase, []).append(r)
+            self.lefts.setdefault(rule.left, []).append(r)
+            if rule.right is not None:
+                self.rights.setdefault(rule.right, []).append(r)
             if rule.connect:
-                self.joining.setdefault(frozenset((rule.left, rule.right)), []).append(r)
+                for ends in {(rule.left, rule.right), (rule.right, rule.left)}:
+                    self.joining.setdefault(ends, []).append(r)
             left_key, right_key = rule.join or (None, None)
             self.sides.append(None if rule.right is None else
                               (*self._side(rule.left, left_key), *self._side(rule.right, right_key)))
-        self.keys = [[key for v in range(n) for key in self._row(r, v)]
-                     for r in range(len(self.rules))]
+        self.keys = [[key for v in ids.get(rule.left, ()) for key in self._row(r, v)]
+                     for r, rule in enumerate(self.rules)]
+        # every rule, and per phase, as (rule indices, their key lists)
+        self.every = (range(len(self.rules)), self.keys)
+        self.pools = {phase: (rs, [self.keys[r] for r in rs]) for phase, rs in phases.items()}
 
     def _side(self, kind: str, key: JoinKey | None) -> tuple[JoinKey, dict]:
         """A rule side's join key and buckets, registered for upkeep if keyed."""
@@ -408,8 +425,6 @@ class _MatchIndex:
         """Take relabelled node w out of the bindings whose guard admits its
         old label, and put it into those whose guard admits its new one."""
         rule, new, n = self.rules[r], self.state.labels[w], self.n
-        if rule.right not in (old.kind, new.kind):
-            return
         _, lefts, right_key, _ = self.sides[r]
         if old.kind == rule.right:
             for la, group in lefts.get(right_key(old), {}).items():
@@ -462,41 +477,49 @@ class _MatchIndex:
 
     def draw(self, rng: _Pcg64, prefer_phase: str | None) -> Match | None:
         """One uniformly random listed match (of prefer_phase when it has one)."""
-        pool = range(len(self.rules))
-        preferred = self.pools.get(prefer_phase, ())
-        if any(self.keys[r] for r in preferred):
-            pool = preferred
-        total = sum(len(self.keys[r]) for r in pool)
+        rs, pool = self.pools.get(prefer_phase, self.every)
+        if not any(pool):
+            rs, pool = self.every
+        total = sum(map(len, pool))
         if total == 0:
             return None
         i = rng.integers(total)
-        for r in pool:
-            if i < len(self.keys[r]):
-                return self._match(r, *divmod(self.keys[r][i], self.n))
-            i -= len(self.keys[r])
+        for r, keys in zip(rs, pool):
+            if i < len(keys):
+                return self._match(r, *divmod(keys[i], self.n))
+            i -= len(keys)
 
     def apply(self, match: Match) -> None:
         """Rewrite the state by a listed match and update the keys it can
         change (the module docstring says which)."""
-        state, n = self.state, self.n
-        edge, relabels = effect = _match_effect(state, match.rule, match.nodes)
-        if edge is not None:
-            ends = frozenset(state.labels[v].kind for v in edge)
-            for r in self.joining.get(ends, ()):
-                for a, b in (edge, edge[::-1]):
-                    self._drop(r, a * n + b)
-        moved = {v: state.labels[v] for v, lab in relabels if lab != state.labels[v]}
+        state, n, rule = self.state, self.n, match.rule
+        if rule.connect:
+            a, b = match.nodes
+            for r in self.joining[rule.left, rule.right]:
+                self._drop(r, a * n + b)
+                self._drop(r, b * n + a)
+            if rule.relabel_left is rule.relabel_right is None:
+                state.graph.add_edge(a, b)
+                return
+        effect = _match_effect(state, rule, match.nodes)
+        moved = {v: state.labels[v] for v, lab in effect[1] if lab != state.labels[v]}
         _rewrite(state, effect)
-        touched: set[int] = set()
         for v, old in moved.items():
             self._regroup(v, old)
-            touched.update(self.reading.get(old.kind, ()), self.reading.get(state.labels[v].kind, ()))
-        for r in touched:
-            for w, old in moved.items():
+        for w, old in moved.items():
+            for r in _readers(self.rights, old.kind, state.labels[w].kind):
                 self._move_partner(r, w, old)
-            keys = self.keys[r]
-            for v in moved:  # overwrites what the partner edits put in v's range
+        for v, old in moved.items():  # after all partner edits: overwrites their keys in v's range
+            for r in _readers(self.lefts, old.kind, state.labels[v].kind):
+                keys = self.keys[r]
                 keys[bisect_left(keys, v * n):bisect_left(keys, v * n + n)] = self._row(r, v)
+
+
+def _readers(by_kind: dict[str, list[int]], old: str, new: str) -> list[int]:
+    """The rules that by_kind lists under a node's old or new kind, once each."""
+    if old == new:
+        return by_kind.get(old, [])
+    return by_kind.get(old, []) + by_kind.get(new, [])
 
 
 def _rewrite(state: LabeledGraph, effect) -> None:

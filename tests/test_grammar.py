@@ -508,6 +508,61 @@ def test_match_index_rechecks_few_bindings_that_do_not_change(monkeypatch, make_
     assert len(calls) <= 2 * len(schedule.steps), (len(calls), len(schedule.steps))
 
 
+def test_match_index_builds_rows_only_for_its_rules_left_kinds(monkeypatch):
+    # Only the seed binds first in any rule of a start state: r0 and r1 read
+    # it, and the 95 alpha nodes are only ever a rule's second node.
+    rows = []
+    real = grammar._MatchIndex._row
+    monkeypatch.setattr(grammar._MatchIndex, "_row",
+                        lambda index, r, v: rows.append((r, v)) or real(index, r, v))
+    grammar._MatchIndex(initial_state(96), grammar_r1(4, 24))
+    assert rows == [(0, 0), (1, 0)]
+
+
+@pytest.mark.parametrize("make_rules", [lambda: grammar_r1(4, 24), lambda: grammar_r2(96, 4)],
+                         ids=["r1", "r2"])
+def test_rewrites_visit_only_the_rule_sides_they_can_change(monkeypatch, make_rules):
+    # A node that changes kind is rebuilt as the first node of a binding only
+    # in the rules of its old or new left kind, and edited as a partner only
+    # in the rules of its old or new right kind; a rewrite that relabels
+    # nothing only drops its edge's keys.
+    index_class, visits = grammar._MatchIndex, []
+    real_row, real_move, real_apply = index_class._row, index_class._move_partner, index_class.apply
+
+    def row(index, r, v):
+        visits.append(("row", index.rules[r], v, None))
+        return real_row(index, r, v)
+
+    def move_partner(index, r, w, old):
+        visits.append(("partner", index.rules[r], w, old))
+        return real_move(index, r, w, old)
+
+    relabelled_steps = [0, 0]
+
+    def apply(index, match):
+        before = list(index.state.labels)
+        visits.clear()
+        real_apply(index, match)
+        after = index.state.labels
+        moved = {v for v in range(len(after)) if after[v] != before[v]}
+        relabelled_steps[bool(moved)] += 1
+        if not moved:
+            assert visits == [], (match, visits)
+        for what, rule, v, old in visits:
+            kinds = (before[v].kind, after[v].kind)
+            if what == "row":
+                assert rule.left in kinds, (match, rule.name, v, before[v], after[v])
+            else:
+                assert old == before[v] and rule.right in kinds, (match, rule.name, v, old)
+
+    monkeypatch.setattr(index_class, "_row", row)
+    monkeypatch.setattr(index_class, "_move_partner", move_partner)
+    monkeypatch.setattr(index_class, "apply", apply)
+    _, schedule = run_to_fixpoint(initial_state(96), make_rules(), seed=5)
+    assert sum(relabelled_steps) == len(schedule.steps)
+    assert min(relabelled_steps) > 0, relabelled_steps
+
+
 def _random_labeled_graph(rng, n: int) -> LabeledGraph:
     labels = []
     for _ in range(n):
@@ -603,6 +658,42 @@ def test_match_index_tracks_random_rewrites(seed):
         for v in rng.choice(40, 12, replace=False):
             state.labels[int(v)] = CROWD_LABELS[seed % 4]
         _index_follows_rescan(state, rules, rng)
+
+
+def _applies(state: LabeledGraph, rule: Rule, nodes: tuple) -> bool:
+    """Whether `nodes` binds `rule`: as many distinct ids of the graph as
+    the rule binds, with its kinds, equal join keys and a passing guard,
+    and for a connect rule no edge yet between them."""
+    n, labels = state.graph.n, state.labels
+    kinds = (rule.left,) if rule.right is None else (rule.left, rule.right)
+    if len(nodes) != len(kinds) or len(set(nodes)) != len(nodes):
+        return False
+    if not all(0 <= v < n for v in nodes):
+        return False
+    if tuple(labels[v].kind for v in nodes) != kinds:
+        return False
+    la, lb = labels[nodes[0]], (labels[nodes[1]] if len(nodes) == 2 else None)
+    if rule.join is not None and rule.join[0](la) != rule.join[1](lb):
+        return False
+    return rule.guard(la, lb) and not (rule.connect and state.graph.has_edge(*nodes))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_binding_check_equals_a_direct_predicate(seed):
+    # replay's check, on every ordered pair and single node and on bindings
+    # of the wrong size, with a repeated node or with ids outside the graph.
+    rng = np.random.default_rng([seed, 37])
+    for rules in (EDGE_CASE_RULES, grammar_r1(2, 6), grammar_r2(12, 2), [LAYER, RISE]):
+        state = _random_labeled_graph(rng, 10)
+        n = state.graph.n
+        bindings = [(), (-1,), (n,)] + [(v,) for v in range(n)]
+        bindings += [(v, u) for v in range(n) for u in range(n)]
+        bindings += [(v, n) for v in range(n)] + [(-1, v) for v in range(n)]
+        bindings += [(v, (v + 1) % n, (v + 2) % n) for v in range(n)]
+        for rule in rules:
+            for nodes in bindings:
+                assert grammar._binding_ok(state, rule, nodes) == _applies(state, rule, nodes), (
+                    rule.name, nodes, [state.labels[v] for v in nodes if 0 <= v < n])
 
 
 def test_replay_rejects_a_binding_whose_join_keys_differ():

@@ -128,7 +128,7 @@ def test_randomized_check_on_constructions():
         assert report.fail_count == 0 and report.indeterminate_count == 0
 
 
-def test_randomized_check_flags_deficient_leaderings():
+def test_randomized_check_passes_a_non_zfs_leader_set():
     # A single leader on K3 is no ZFS: it cannot force the other two
     # symmetric nodes.  The trials tally the generic rank, not a worst-case
     # verdict (ROADMAP item 19): random weights make every one of them
