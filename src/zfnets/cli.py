@@ -21,7 +21,7 @@ from .graph import (
     from_edge_list_text,
     to_edge_list_text,
 )
-from .zero_forcing import _verify
+from .zero_forcing import certify
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -117,7 +117,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
     leaders = LeaderSet(_parse_id_list(args.leaders))
-    unique, violations = _verify(g, leaders)
+    _, unique, violations = certify(g, leaders)
     print(f"zfs: {'no' if violations is None else 'yes'}")
     print(f"unique-process: {'yes' if unique else 'no'}")
     if violations is None:

@@ -3,13 +3,13 @@
 A black node with exactly one white neighbor forces that neighbor black.
 A set whose closure is the whole vertex set is a zero forcing set (ZFS);
 for leader-follower consensus dynamics this is exactly strong structural
-controllability of the pair (graph, leaders).  derived_set, closure,
-is_unique_process and word_of each read one run of the engine _run, and
-_verify reads uniqueness and the addable edges (None when the leaders are
-not a ZFS) off one run.  is_maximal_for_zfs answers from the edge bound
-when the graph meets it, and otherwise from the same run: per-node bitsets
-of the recorded forces that need each node black, and the forcing rule
-rerun on those bitsets, give every forcer's stalled set.
+controllability of the pair (graph, leaders).  derived_set, closure and
+is_unique_process each read one run of the engine _run.  certify reads the
+trace, uniqueness and the addable edges (None when the leaders are not a
+ZFS) off one run, for is_maximal_for_zfs, word_of and the verify command.
+At the edge bound no edge is addable; below it, per-node bitsets of the
+recorded forces that need each node black, and the forcing rule rerun on
+those bitsets, give every forcer's stalled set.
 
 Theorem.  A ZFS graph with k leaders has at most expected_edges(n, k)
 edges; the maximal ones, at the bound, are the graphs build_word(k, word).
@@ -157,12 +157,10 @@ def build_word(k: int, word: Sequence[int]) -> Graph:
 def word_of(g: Graph, leaders: Sequence[int]) -> list[int] | None:
     """The forcing word of g, leader leaders[i] in slot i, last symbol 0:
     build_word(k, word) is g with the followers numbered as they turn black
-    (see the module docstring).  None when the leaders are not a ZFS of g or
-    g is below the edge bound.  Repeated leader ids raise ValueError."""
-    if len(set(leaders)) != len(leaders):
-        raise ValueError(f"repeated leader ids in {list(leaders)}")
-    trace = derived_set(g, leaders)
-    if len(trace.derived) != g.n or g.edge_count() < expected_edges(g.n, len(leaders)):
+    (module docstring).  None unless certify's violations are [], that is,
+    unless the leaders are a ZFS of g and g is at the edge bound."""
+    trace, _, violations = certify(g, leaders)
+    if violations != []:
         return None
     slot, word = {v: i for i, v in enumerate(leaders)}, []
     for x, y in trace.steps:
@@ -242,23 +240,33 @@ def is_maximal_for_zfs(
     neighbor, completes R.  The run is needed: a black node that never
     forced may force into dep[w].
     """
-    violations = _verify(g, leaders)[1]
+    violations = certify(g, leaders).violations
     if violations is None:
         raise ValueError("leaders are not a zero forcing set of the given graph")
     return not violations, violations
 
 
-def _verify(g: Graph, leaders: LeaderSet) -> tuple[bool, list[tuple[int, int]] | None]:
-    """(unique, violations) from one forcing run: is_unique_process, and
-    the non-edges is_maximal_for_zfs lists, or None when the leaders are
-    not a ZFS."""
-    leaders.validate_for(g)
+class Certificate(NamedTuple):
+    """One forcing run of the leaders: its trace, is_unique_process, and the
+    non-edges is_maximal_for_zfs lists, or None when the leaders are not a ZFS."""
+
+    trace: ForcingTrace
+    unique: bool
+    violations: list[tuple[int, int]] | None
+
+
+def certify(g: Graph, leaders: Sequence[int]) -> Certificate:
+    """The Certificate of distinct leader ids, whose order word_of reads as
+    slots.  A repeated id or one that is not a node of g raises ValueError."""
+    if len(set(leaders)) != len(leaders):
+        raise ValueError(f"repeated leader ids in {list(leaders)}")
+    LeaderSet.validate_for(leaders, g)  # any sequence: validate_for only iterates it
     trace, unique = _run(g, leaders)
     n, k = g.n, len(leaders)
     if len(trace.derived) != n:
-        return unique, None
+        return Certificate(trace, unique, None)
     if g.edge_count() == expected_edges(n, k):
-        return unique, []
+        return Certificate(trace, unique, [])
     nbrs = [g.neighbors(v) for v in range(n)]
     adj = [sum(1 << u for u in a) for a in nbrs]
     dep = [1 << v for v in range(n)]  # v and every node whose recorded force needs v black
@@ -286,4 +294,4 @@ def _verify(g: Graph, leaders: LeaderSet) -> tuple[bool, list[tuple[int, int]] |
     violations: list[tuple[int, int]] = []
     for u in range(n):  # row u: the v > u that are neither neighbors nor bad
         violations.extend(zip(repeat(u), _bits(~(adj[u] | bad[u]) & (1 << n) - (2 << u))))
-    return unique, violations
+    return Certificate(trace, unique, violations)

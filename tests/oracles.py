@@ -16,8 +16,8 @@ elimination in float64 BLAS).
 It also holds the small helpers only the tests need: the per-family edge
 terms of the closed-form count, the edge list of a forcing word, BFS
 distances from one source (the per-source reference for Graph.diameter),
-the forcing-candidate rescan and the boolean form of the controllability
-report.
+the forcing-candidate rescan, the boolean form of the controllability
+report, and an uncontrollable realization of a leader set that is no ZFS.
 """
 from __future__ import annotations
 
@@ -27,13 +27,13 @@ from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
-import scipy.linalg
 
+from zfnets.constructions import FAMILIES, G3_BAR, ConstructionSpec, InfeasibleSpecError, build
 from zfnets.grammar import (ALPHA, LabeledGraph, Match, Rule, Schedule, initial_state,
                             label_isomorphic, replay)
 from zfnets.graph import Graph
 from zfnets.ssc import SystemRealization, controllability_report
-from zfnets.zero_forcing import ForcingTrace
+from zfnets.zero_forcing import ForcingTrace, certify
 
 
 def edge_terms_g1(n_leaders: int, d: int) -> tuple[int, int]:
@@ -203,6 +203,8 @@ def _inertia_negatives(d: np.ndarray, tiny: float) -> int | None:
 
 def bisection_eigenvalues(a: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """All eigenvalues of a symmetric matrix by inertia bisection, ascending."""
+    import scipy.linalg  # here, so that this module imports without scipy
+
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
     if n == 0:
@@ -473,3 +475,61 @@ def kalman_rank_mod_p(m, b, p: int) -> int:
             rows[r] = [(x - factor * y) % p for x, y in zip(rows[r], rows[rank])]
         rank += 1
     return rank
+
+
+def uncontrollable_witness(g: Graph, leaders) -> tuple[list[list[int]], list[list[int]]]:
+    """An integer realization (M, B) of (g, leaders) that is not controllable,
+    for leaders that are no ZFS (Monshizadeh, Zhang & Camlibel, IEEE TAC
+    59(9), 2014).
+
+    W is the white set where the rescanned closure stalls, so no black node
+    has exactly one white neighbor.  The m white neighbors of a black node
+    get edge weights 1, ..., 1, -(m-1) in id order, every other edge weight
+    1; a white node's diagonal entry is minus the sum of its white-edge
+    weights, a black node's is 0.  Asserted here: every edge has a nonzero
+    weight, and x = 1 on W has Mx = 0 and x^T B = 0, so by the PBH test the
+    Kalman rank is below n.
+    """
+    n = g.n
+    white = set(range(n)) - closure_bruteforce(g, set(leaders))
+    assert white, "the leaders are a ZFS, so every realization is controllable"
+    m = [[0] * n for _ in range(n)]
+    for u, v in g.edges():
+        m[u][v] = m[v][u] = 1
+    for b in set(range(n)) - white:
+        ws = sorted(g.neighbors(b) & white)
+        if ws:
+            m[b][ws[-1]] = m[ws[-1]][b] = 1 - len(ws)
+    for w in white:
+        m[w][w] = -sum(m[w][u] for u in g.neighbors(w) & white)
+    b = [[int(v == leader) for leader in sorted(leaders)] for v in range(n)]
+    assert all(m[u][v] for u, v in g.edges())
+    assert all(sum(row[w] for w in white) == 0 for row in m)
+    assert all(b[w] == [0] * len(b[w]) for w in white)
+    return m, b
+
+
+def assert_leader_subsets_have_witnesses(max_n: int) -> tuple[int, int]:
+    """Check every construction on at most max_n nodes with k >= 2 leaders
+    and a follower: certify calls its leaders a ZFS, calls each (k-1)-subset
+    of them none, and each subset's witness has exact Kalman rank below n.
+    Returns (constructions, subsets).  With no follower a construction is
+    K_k, which k-1 leaders force, so it is left out.
+    """
+    nets = subsets = 0
+    for n in range(3, max_n + 1):
+        for k in range(2, n):
+            for family in FAMILIES:
+                for d in range(2, n // k + 1) if family == G3_BAR else [None]:
+                    try:
+                        net = build(ConstructionSpec(family, n, k, d))
+                    except InfeasibleSpecError:
+                        continue
+                    assert certify(net.graph, net.leaders).violations is not None, net.spec
+                    for sub in combinations(net.leaders, k - 1):
+                        assert certify(net.graph, sub).violations is None, (net.spec, sub)
+                        m, b = uncontrollable_witness(net.graph, sub)
+                        assert kalman_rank_exact(m, b) < n, (net.spec, sub)
+                        subsets += 1
+                    nets += 1
+    return nets, subsets

@@ -2,7 +2,10 @@
 
 Each test prints "[acceptance] criterion N (name): PASS|FAIL" past pytest's
 capture (via capsys.disabled) and enforces its runtime cap where one is
-stated.
+stated.  Next to criterion 8, whose sampled trials pass on any connected
+graph, two witness checks can fail both ways: a leader set that certify
+calls a ZFS is controllable, and one it calls no ZFS has an uncontrollable
+realization.
 """
 from __future__ import annotations
 
@@ -23,7 +26,14 @@ from conftest import (
     random_connected_graph,
     random_graph,
 )
-from oracles import edge_terms_g1, edge_terms_g2, forcing_candidates
+from oracles import (
+    assert_leader_subsets_have_witnesses,
+    edge_terms_g1,
+    edge_terms_g2,
+    forcing_candidates,
+    kalman_rank_exact,
+    uncontrollable_witness,
+)
 from zfnets.constructions import (
     build,
     build_g1,
@@ -46,6 +56,7 @@ from zfnets.grammar import (
 from zfnets.robustness import spectrum
 from zfnets.ssc import randomized_ssc_check
 from zfnets.zero_forcing import (
+    certify,
     closure,
     derived_set,
     expected_edges,
@@ -212,6 +223,31 @@ def test_criterion_8_controllability_oracle(capsys):
                 net.graph, net.leaders, trials=50, seed=1000 + spec.n
             )
             assert report.pass_count == 50, (spec, report.summary())
+
+
+def test_every_construction_needs_all_its_leaders():
+    # The full leader set is a ZFS, so every realization is controllable
+    # (ssc docstring); drop any one leader and certify must call the rest no
+    # ZFS, with a realization whose exact Kalman rank is below n.
+    assert assert_leader_subsets_have_witnesses(10) == (71, 228)
+
+
+def test_every_non_zfs_leader_set_has_an_uncontrollable_witness():
+    # The converse of the check above, on 900 random leader sets of 300
+    # random graphs with n <= 10.
+    rng = np.random.default_rng(19)
+    verdicts = {"zfs": 0, "no zfs": 0}
+    for _ in range(300):
+        n = int(rng.integers(1, 11))
+        g = random_graph(rng, n, float(rng.uniform()))
+        for _ in range(3):
+            leaders = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist()
+            if certify(g, leaders).violations is None:
+                assert kalman_rank_exact(*uncontrollable_witness(g, leaders)) < n, (g.edges(), leaders)
+                verdicts["no zfs"] += 1
+            else:
+                verdicts["zfs"] += 1
+    assert verdicts == {"zfs": 510, "no zfs": 390}
 
 
 def test_criterion_9_property_suites(tmp_path, capsys):

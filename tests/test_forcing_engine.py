@@ -28,7 +28,15 @@ from oracles import (
 from zfnets import constructions as cons
 from zfnets import zero_forcing
 from zfnets.graph import Graph, LeaderSet
-from zfnets.zero_forcing import build_word, closure, derived_set, is_maximal_for_zfs, is_unique_process
+from zfnets.zero_forcing import (
+    build_word,
+    certify,
+    closure,
+    derived_set,
+    is_maximal_for_zfs,
+    is_unique_process,
+    word_of,
+)
 
 
 @given(st.integers(0, 2**31 - 1), st.integers(0, 13), st.floats(0.0, 1.0))
@@ -69,6 +77,30 @@ def test_maximality_violations_match_bruteforce(seed, n, p):
     maximal, violations = is_maximal_for_zfs(g, LeaderSet(tuple(leaders)))
     assert violations == expected
     assert maximal == (not expected)
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(1, 9), st.floats(0.0, 1.0))
+@settings(max_examples=150, deadline=None)
+def test_certify_matches_the_rescan_oracles(seed, n, p):
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n, p)
+    leaders = [int(v) for v in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
+    black = set(leaders)
+    closed = closure_bruteforce(g, black)
+    trace, unique, violations = certify(g, leaders)
+    assert trace == derived_set_rescan(g, black) and trace.derived == closed
+    assert unique == is_unique_rescan(g, black)
+    assert violations == (addable_edges_exhaustive(g, black) if len(closed) == n else None)
+
+
+@pytest.mark.parametrize("leaders, message", [
+    ([0, 2, 0], r"^repeated leader ids in \[0, 2, 0\]$"),
+    ([0, 3], r"^leader id 3 out of range for graph on 3 nodes$"),
+    ([0, -1], r"^black vertex -1 out of range for graph on 3 nodes$"),
+])
+def test_certify_keeps_each_leader_error(leaders, message):
+    with pytest.raises(ValueError, match=message):
+        certify(Graph(3, [(0, 1), (1, 2)]), leaders)
 
 
 def _edge_bound(n: int, k: int) -> int:
@@ -176,6 +208,20 @@ def test_g1_scan_makes_one_forcing_run_and_no_closure(monkeypatch):
     maximal, violations = is_maximal_for_zfs(net.graph, net.leaders)
     assert not maximal and len(violations) == 6 * 30 * 30 - 6
     assert len(runs) == 1 and closures == []
+
+
+@pytest.mark.parametrize("family", [cons.G1, cons.G1_BAR])  # below and at the edge bound
+def test_word_of_and_maximality_make_one_forcing_run_each(family, monkeypatch):
+    net = cons.build(sweep_spec(family, 24, 3))
+    runs = []
+    engine = zero_forcing._run
+    monkeypatch.setattr(zero_forcing, "_run", lambda *a: runs.append(a) or engine(*a))
+    for leaders in (net.leaders, net.leaders[:-1]):  # a ZFS, and none
+        word_of(net.graph, leaders)
+        assert len(runs) == 1
+        runs.clear()
+    is_maximal_for_zfs(net.graph, net.leaders)
+    assert len(runs) == 1
 
 
 def test_a_black_node_that_never_forced_grows_the_stalled_set():
