@@ -167,13 +167,14 @@ def parse_construction_config(text: str) -> ConstructionSpec:
 
 
 class ConstructedNetwork(NamedTuple):
-    """A built graph with its measured diameter and per-node role tags; its
-    leaders are ids 0..k-1."""
+    """A built graph with its measured diameter, per-node role tags and
+    forcing word_of(graph, leaders), None for g1; leaders are ids 0..k-1."""
 
     spec: ConstructionSpec
     graph: Graph
     diameter: int
     layout: dict[int, str]
+    word: list[int] | None
 
     @property
     def family(self) -> str:
@@ -194,22 +195,25 @@ def default_g3_diameter(n: int, n_leaders: int) -> int:
 def build(spec: ConstructionSpec) -> ConstructedNetwork:
     """The network of a validated spec; every family is built here.
 
-    The bar families are the word of the module docstring, g1 is the leader
-    clique plus k paths.  Leaders are tagged L<i>, node jk + i-1 of layer
-    j <= L is u_<i>,<j>, and tail node k(L+1) + m-1 is u_<m> in g2bar and
-    v_<m> in g3bar.  The diameter is measured here, once per build, and a
-    g3bar build must measure its requested diameter.
+    The bar families are the word of the module docstring, kept with its
+    last symbol 0 as word_of reads it; g1, the leader clique plus k paths,
+    keeps None.  Leaders are tagged L<i>, node jk + i-1 of layer j <= L is
+    u_<i>,<j>, and tail node k(L+1) + m-1 is u_<m> in g2bar and v_<m> in
+    g3bar.  The diameter is measured here, once per build, and a g3bar
+    build must measure its requested diameter.
     """
     family, n, k, d = spec.family, spec.n, spec.n_leaders, spec.d
     layers = d - 1 if k * d == n and (d > 2 or family in (G1, G1_BAR)) else d - 2
     start = k * (layers + 1)
     if family == G1:
-        g = Graph(n, combinations(range(k), 2))
+        g, word = Graph(n, combinations(range(k), 2)), None
         for c in range(k):  # chain c is c, c + k, ..., c + (d-1)k
             for v in range(c, n - k, k):
                 g.add_edge(v, v + k)
     else:
-        g = build_word(k, list(range(k)) * layers + [0] * (n - start))
+        word = list(range(k)) * layers + [0] * (n - start)
+        g = build_word(k, word)
+        word[-1:] = word[-1:] and [0]  # word_of's form; the last symbol never changes the graph
     tail = "u" if family == G2_BAR else "v"
     layout = {v: f"L{v + 1}" if v < k else f"u_{v % k + 1},{v // k}" if v < start
               else f"{tail}_{v - start + 1}" for v in range(n)}
@@ -218,7 +222,7 @@ def build(spec: ConstructionSpec) -> ConstructedNetwork:
         raise ConstructionMismatchError(
             f"built {family} graph has diameter {measured}, expected {d}"
         )
-    return ConstructedNetwork(spec, g, measured, layout)
+    return ConstructedNetwork(spec, g, measured, layout, word)
 
 
 # Shorthands for build(ConstructionSpec(...)).

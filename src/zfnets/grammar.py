@@ -650,16 +650,15 @@ def replay(initial: LabeledGraph, rules: Iterable[Rule], schedule: Schedule) -> 
 
 
 def label_isomorphic(state: LabeledGraph, target: ConstructedNetwork) -> bool:
-    """True iff the state has target's leader count and forcing word
-    (zero_forcing.word_of) with leader Li in slot i-1: then its graph is
-    target's, Li at target's leader i-1.  Follower labels are not compared,
-    and a target below the edge bound has no word, so nothing matches it.
+    """True iff the state has target's leader count and its forcing word
+    (zero_forcing.word_of) with leader Li in slot i-1 is target.word: then
+    its graph is target's, Li at target's leader i-1.  Follower labels are
+    not compared, and a g1 target carries no word, so nothing matches it.
     Raises NonConvergenceError if alpha or seed labels remain."""
     stuck = [v for v, lab in enumerate(state.labels) if lab.kind in (ALPHA, SEED)]
     if stuck:
         raise NonConvergenceError(f"state is not converged: nodes {stuck} still labeled alpha/seed")
     leaders = sorted(state.nodes_with_kind(LEADER), key=lambda v: state.labels[v].i)
-    if len(leaders) != len(target.leaders):
+    if len(leaders) != len(target.leaders) or target.word is None:
         return False
-    word = word_of(state.graph, leaders)
-    return word is not None and word == word_of(target.graph, target.leaders)
+    return word_of(state.graph, leaders) == target.word

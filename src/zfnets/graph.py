@@ -205,7 +205,7 @@ class LeaderSet(tuple):
 
     def validate_for(self, g: Graph) -> None:
         for i in self:
-            if i >= g.n:
+            if not 0 <= i < g.n:
                 raise ValueError(f"leader id {i} out of range for graph on {g.n} nodes")
 
 

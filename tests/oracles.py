@@ -17,7 +17,8 @@ It also holds the small helpers only the tests need: the per-family edge
 terms of the closed-form count, the edge list of a forcing word, BFS
 distances from one source (the per-source reference for Graph.diameter),
 the forcing-candidate rescan, the boolean form of the controllability
-report, and an uncontrollable realization of a leader set that is no ZFS.
+report, an uncontrollable realization of a leader set that is no ZFS, and
+the check that every build carries its forcing word.
 """
 from __future__ import annotations
 
@@ -28,12 +29,12 @@ from itertools import combinations
 
 import numpy as np
 
-from zfnets.constructions import FAMILIES, G3_BAR, ConstructionSpec, InfeasibleSpecError, build
+from zfnets.constructions import FAMILIES, G1, G3_BAR, ConstructionSpec, InfeasibleSpecError, build
 from zfnets.grammar import (ALPHA, LabeledGraph, Match, Rule, Schedule, initial_state,
                             label_isomorphic, replay)
 from zfnets.graph import Graph
 from zfnets.ssc import SystemRealization, controllability_report
-from zfnets.zero_forcing import ForcingTrace, certify
+from zfnets.zero_forcing import ForcingTrace, build_word, certify, word_of
 
 
 def edge_terms_g1(n_leaders: int, d: int) -> tuple[int, int]:
@@ -533,3 +534,28 @@ def assert_leader_subsets_have_witnesses(max_n: int) -> tuple[int, int]:
                         subsets += 1
                     nets += 1
     return nets, subsets
+
+
+def assert_builds_carry_their_words(sizes, max_k: int = 12) -> tuple[int, int]:
+    """Check every feasible build on n in sizes nodes with k <= max_k
+    leaders, at every g3bar d: a g1 build carries no word, and any other
+    carries word_of(graph, leaders), whose build_word is the graph.
+    Returns (builds, g1 builds).
+    """
+    nets = g1s = 0
+    for n in sizes:
+        for k in range(1, min(n, max_k) + 1):
+            for family in FAMILIES:
+                for d in range(2, n // k + 1) if family == G3_BAR else [None]:
+                    try:
+                        net = build(ConstructionSpec(family, n, k, d))
+                    except InfeasibleSpecError:
+                        continue
+                    if family == G1:
+                        assert net.word is None, net.spec
+                        g1s += 1
+                    else:
+                        assert net.word == word_of(net.graph, net.leaders), net.spec
+                        assert build_word(k, net.word) == net.graph, net.spec
+                    nets += 1
+    return nets, g1s

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import complete_graph, g1_feasible, g2_feasible, g3_diameters, grid_points, path_graph
-from oracles import edge_terms_g1, edge_terms_g2, vertex_connectivity, word_edges
+from oracles import (assert_builds_carry_their_words, edge_terms_g1, edge_terms_g2,
+                     vertex_connectivity, word_edges)
 from zfnets.constructions import (
     FAMILIES,
     ConstructionSpec,
@@ -233,6 +234,11 @@ def test_build_word_rejects_symbols_outside_the_slots():
     for word in ([2], [0, -1]):
         with pytest.raises(ValueError, match="slot"):
             build_word(2, word)
+
+
+def test_every_build_carries_its_forcing_word():
+    # every feasible spec with N <= 24 and k <= 12; CI adds N = 60, 120 and 240
+    assert assert_builds_carry_their_words(range(1, 25)) == (648, 72)
 
 
 def test_construction_is_deterministic():

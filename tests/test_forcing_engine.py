@@ -96,7 +96,7 @@ def test_certify_matches_the_rescan_oracles(seed, n, p):
 @pytest.mark.parametrize("leaders, message", [
     ([0, 2, 0], r"^repeated leader ids in \[0, 2, 0\]$"),
     ([0, 3], r"^leader id 3 out of range for graph on 3 nodes$"),
-    ([0, -1], r"^black vertex -1 out of range for graph on 3 nodes$"),
+    ([0, -1], r"^leader id -1 out of range for graph on 3 nodes$"),
 ])
 def test_certify_keeps_each_leader_error(leaders, message):
     with pytest.raises(ValueError, match=message):

@@ -11,12 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import applicable_matches_rescan, assert_every_schedule_ends_at, explore, state_key
-from zfnets import grammar
+from zfnets import grammar, zero_forcing
 from zfnets.constructions import (
     G1_BAR,
     G2_BAR,
     ConstructionSpec,
     InfeasibleSpecError,
+    build_g1,
     build_g1_bar,
     build_g2_bar,
     build_g3_bar,
@@ -293,6 +294,21 @@ def test_label_isomorphic_discriminates_targets():
     state, _ = run_to_fixpoint(initial_state(12), grammar_r2(12, 3), seed=0)
     assert label_isomorphic(state, build_g2_bar(12, 3))
     assert not label_isomorphic(state, build_g2_bar(13, 4))
+
+
+def test_label_isomorphic_reads_the_target_word_and_makes_one_forcing_run(monkeypatch):
+    runs = []
+    engine = zero_forcing._run
+    monkeypatch.setattr(zero_forcing, "_run", lambda *a: runs.append(a) or engine(*a))
+    for rules, target in ((grammar_r1(4, 12), build_g1_bar(48, 4)),
+                          (grammar_r2(48, 4), build_g2_bar(48, 4))):
+        state, _ = run_to_fixpoint(initial_state(48), rules, seed=1)
+        runs.clear()
+        assert label_isomorphic(state, target)
+        assert len(runs) == 1  # the state's run; the target carries its word
+        runs.clear()
+        assert not label_isomorphic(state, build_g1(48, 4))  # g1 carries no word
+        assert runs == []
 
 
 def test_label_isomorphic_judges_a_relabelled_g3bar():

@@ -245,6 +245,7 @@ def test_word_of_every_family_build_is_its_documented_word():
                     if expected:
                         expected[-1] = 0
                     assert word_of(net.graph, net.leaders) == expected, (family, n, k, d)
+                    assert net.word == (None if family == cons.G1 else expected), (family, n, k, d)
     assert checked == 727
 
 
