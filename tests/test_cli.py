@@ -142,7 +142,8 @@ def test_construct_config_with_a_non_integer_value_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("flags, named", [
     (["--family", "g2bar", "--nodes", "40", "--leaders", "5"], "--family, --nodes, --leaders"),
     (["--diameter", "4"], "--diameter"),
-], ids=["family-nodes-leaders", "diameter"])
+    (["--nodes", "40"], "--nodes"),
+], ids=["family-nodes-leaders", "diameter", "nodes"])
 def test_construct_config_excludes_the_spec_flags(tmp_path, capsys, flags, named):
     cfg = tmp_path / "net.cfg"
     cfg.write_text("family = g1bar\nn = 12\nnl = 3\nd = 4\n")
@@ -269,14 +270,24 @@ def test_verify_non_forcing_leaders_exit_3(tmp_path, capsys):
     assert "maximal: n/a" in text
 
 
-def test_verify_names_the_edge_list_line_at_fault(tmp_path, capsys):
+@pytest.mark.parametrize("text, error", [
+    ("# n=4\n# n=6\n0 1\n", "line 2: repeated '# n=' header (first on line 1)"),
+    ("0 1\n# n=-3\n", "line 2: vertex count must be non-negative, got -3"),
+    ("-5 -3\n", "line 1: vertex -5 out of range for graph on 0 nodes"),
+    ("0 1\n1 2\n2 1\n", "line 3: repeated edge 2 1 (first on line 2)"),
+    # a blank line 3 still counts
+    ("# n=4\n0 1\n\n1 7\n", "line 4: vertex 7 out of range for graph on 4 nodes"),
+    ("0 1\n1 2\n\n1 0\n", "line 4: repeated edge 1 0 (first on line 1)"),
+], ids=["repeated-header", "negative-count", "negative-ids", "repeated-edge",
+        "out-of-range", "repeated-edge-after-blank"])
+def test_graph_commands_reject_a_bad_edge_list(tmp_path, capsys, text, error):
     path = tmp_path / "g.edges"
-    path.write_text("# n=4\n0 1\n\n1 7\n")
-    code = main(["verify", "--graph", str(path), "--leaders", "0"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err == "error: line 4: vertex 7 out of range for graph on 4 nodes\n"
-    assert captured.out == ""
+    path.write_text(text)
+    for argv in (["verify", "--leaders", "0"], ["spectrum"]):
+        code = main([*argv, "--graph", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {error}\n"
 
 
 @pytest.mark.parametrize("header", ["# n = 4", "# N=4"])
@@ -287,16 +298,6 @@ def test_verify_reads_a_header_with_spaces_or_a_capital_n(tmp_path, capsys, head
     code, out = run(capsys, "verify", "--graph", str(path), "--leaders", "0")
     assert code == 3
     assert out.splitlines()[:1] == ["zfs: no"]
-
-
-def test_verify_rejects_an_edge_given_twice(tmp_path, capsys):
-    path = tmp_path / "g.edges"
-    path.write_text("0 1\n1 2\n2 1\n")
-    code = main(["verify", "--graph", str(path), "--leaders", "0"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err == "error: line 3: repeated edge 2 1 (first on line 2)\n"
-    assert captured.out == ""
 
 
 def test_graph_commands_take_the_node_count_from_the_header(tmp_path, capsys):
@@ -478,6 +479,8 @@ def test_sweep_rejects_a_leader_count_above_nodes(tmp_path, capsys):
     # a range that starts above --nodes is rejected before it is expanded
     (["--nodes", "12", "--leaders", "13-14"], 0,
      "--leaders must be at most --nodes (12), got 13-14"),
+    (["--nodes", "12", "--leaders", "13-1000000000"], 0,
+     "--leaders must be at most --nodes (12), got 13-1000000000"),
     (["--families", "g1", "--nodes", "7", "--leaders", "2"], 1,
      "no feasible family and leader count at --nodes 7"),
     # an empty family list is named, not blamed on the leader counts
@@ -485,7 +488,8 @@ def test_sweep_rejects_a_leader_count_above_nodes(tmp_path, capsys):
     (["--families", " , ", "--nodes", "12", "--leaders", "3"], 0, "no values in ' , '"),
     (["--nodes", "12", "--leaders", "5-3"], 0, "empty range '5-3'"),
     (["--nodes", "12", "--leaders", ","], 0, "no values in ','"),
-], ids=["13-14", "g1-7", "no-families", "blank-families", "empty-range", "no-leaders"])
+], ids=["13-14", "13-1000000000", "g1-7", "no-families", "blank-families", "empty-range",
+        "no-leaders"])
 def test_sweep_without_feasible_rows_writes_no_csv(tmp_path, capsys, argv, notes, error):
     out = tmp_path / "table.csv"
     code = main(["sweep", *argv, "--out", str(out)])
@@ -671,21 +675,28 @@ def test_oracle_rejects_a_negative_seed(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["construct", "--family", "g1bar", "--nodes", "24", "--leaders", "3",
-     "--diameter", "8", "--out", "g"],
-    ["verify", "--graph", "g.edges", "--leaders", "0,1,2"],
-    ["grammar", "--rules", "r1", "--nodes", "24", "--leaders", "3", "--diameter", "8",
-     "--out", "r1"],
-    ["grammar", "--rules", "r2", "--nodes", "24", "--leaders", "3", "--out", "r2"],
+CLI_MODULES = ["zfnets.cli", "zfnets.constructions", "zfnets.graph", "zfnets.zero_forcing"]
+GRAMMAR_MODULES = sorted([*CLI_MODULES, "zfnets.grammar"])
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["construct", "--family", "g1bar", "--nodes", "24", "--leaders", "3",
+      "--diameter", "8", "--out", "g"], CLI_MODULES),
+    (["verify", "--graph", "g.edges", "--leaders", "0,1,2"], CLI_MODULES),
+    # grammar loads only in the subcommand that runs it, and its records are tuples
+    (["grammar", "--rules", "r1", "--nodes", "24", "--leaders", "3", "--diameter", "8",
+      "--out", "r1"], GRAMMAR_MODULES),
+    (["grammar", "--rules", "r2", "--nodes", "24", "--leaders", "3", "--out", "r2"],
+     GRAMMAR_MODULES),
 ], ids=["construct", "verify", "grammar-r1", "grammar-r2"])
-def test_commands_without_linear_algebra_import_no_numpy(tmp_path, argv):
+def test_commands_without_linear_algebra_import_no_numpy(tmp_path, argv, loaded):
     write_graph(tmp_path, build_g1_bar(24, 3, 8).graph)
     code = ("import sys, zfnets.cli; code = zfnets.cli.main(sys.argv[1:]); "
-            "print('numpy' in sys.modules, code)")
+            "print(sorted(m for m in sys.modules if m.startswith('zfnets.')), "
+            "'numpy' in sys.modules, 'dataclasses' in sys.modules, 'inspect' in sys.modules, code)")
     proc = run_child(code, *argv, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False 0"
+    assert proc.stdout.splitlines()[-1] == f"{loaded} False False False 0"
 
 
 @pytest.mark.parametrize("module, loaded", [
